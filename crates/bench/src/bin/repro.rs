@@ -132,18 +132,10 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
     use mincostflow::{FlowNetwork, FlowSolver};
     use rasc_bench::instances::{compose_setup, compose_setup_saturated, layered, layered_into};
     use rasc_bench::microbench::{
-        bench, bench_config, black_box, count_allocations, record_ratio, record_value, record_wall,
-        render_json, Measurement,
+        bench_or_smoke as time, black_box, count_allocations, record_ratio, record_value,
+        record_wall, render_json, Measurement,
     };
     use std::time::{Duration, Instant};
-
-    fn time<F: FnMut()>(quick: bool, name: &str, op: F) -> Measurement {
-        if quick {
-            bench_config(name, Duration::from_millis(4), 3, op)
-        } else {
-            bench(name, op)
-        }
-    }
 
     let mut results = Vec::new();
     // Family gate for `--filter`: a section runs when no filter is set
@@ -642,6 +634,11 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
              clones costs ~2n allocs each)"
         );
         println!("steady-state allocations per batch-admitted request: {per_req:.1}");
+    }
+
+    // --- Overlay membership: build, crash repair, ownership ----------
+    if want("overlay") {
+        results.extend(rasc_bench::membership::family(quick));
     }
 
     // --- Sweep wall time: serial vs parallel --------------------------

@@ -10,6 +10,7 @@ pub mod chaos;
 pub mod dataplane;
 pub mod figures;
 pub mod instances;
+pub mod membership;
 pub mod microbench;
 pub mod sweep;
 

@@ -113,6 +113,15 @@ pub fn bench<F: FnMut()>(name: &str, op: F) -> Measurement {
     bench_config(name, Duration::from_millis(25), 7, op)
 }
 
+/// [`bench`], or under `quick` a 4 ms × 3-sample smoke run.
+pub fn bench_or_smoke<F: FnMut()>(quick: bool, name: &str, op: F) -> Measurement {
+    if quick {
+        bench_config(name, Duration::from_millis(4), 3, op)
+    } else {
+        bench(name, op)
+    }
+}
+
 /// Times `op` with an explicit per-sample budget and sample count.
 pub fn bench_config<F: FnMut()>(
     name: &str,
@@ -134,12 +143,22 @@ pub fn bench_config<F: FnMut()>(
     let iters_per_sample =
         ((target_sample.as_secs_f64() / per_op_estimate.max(1e-12)).ceil() as u64).max(1);
 
-    let mut per_sample_ns: Vec<f64> = (0..samples)
+    let per_sample_ns = (0..samples)
         .map(|_| {
             let elapsed = time_batch(&mut op, iters_per_sample);
             elapsed.as_secs_f64() * 1e9 / iters_per_sample as f64
         })
         .collect();
+    from_samples(name, iters_per_sample, per_sample_ns)
+}
+
+/// Aggregates externally timed samples (ns per operation, `iters`
+/// operations each) into a median/min/max timing — for operations whose
+/// set-up must stay outside the timed region, which [`bench`]'s closure
+/// cannot express.
+pub fn from_samples(name: &str, iters: u64, mut per_sample_ns: Vec<f64>) -> Measurement {
+    let samples = per_sample_ns.len();
+    assert!(samples >= 1, "need at least one sample");
     per_sample_ns.sort_by(|a, b| a.total_cmp(b));
     let median = if samples % 2 == 1 {
         per_sample_ns[samples / 2]
@@ -152,7 +171,7 @@ pub fn bench_config<F: FnMut()>(
         value: median,
         min: per_sample_ns[0],
         max: per_sample_ns[samples - 1],
-        iters: iters_per_sample,
+        iters,
         samples,
         note: None,
         threads: None,

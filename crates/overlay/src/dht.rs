@@ -50,16 +50,12 @@ impl<V: Clone + Ord> Dht<V> {
         }
     }
 
-    /// The owner and its replica group for `key`.
+    /// The owner and its replica group for `key`: the owner first (at
+    /// distance zero from its own key), then the `replicas` alive members
+    /// nearest to the owner's key.
     fn replica_group(&self, overlay: &Overlay, key: NodeKey) -> Vec<MemberId> {
-        let owner = overlay.owner_of(key);
-        let mut group = vec![owner];
-        // Nearest alive members by ring distance to the owner's key.
-        let owner_key = overlay.key_of(owner);
-        let mut others: Vec<MemberId> = overlay.alive_members().filter(|&m| m != owner).collect();
-        others.sort_by_key(|&m| overlay.key_of(m).ring_distance(owner_key));
-        group.extend(others.into_iter().take(self.replicas));
-        group
+        let owner_key = overlay.key_of(overlay.owner_of(key));
+        overlay.nearest_members(owner_key, self.replicas + 1)
     }
 
     /// Registers `value` under `key`, routing from `from`. Returns the

@@ -6,7 +6,8 @@
 //!
 //! * [`NodeKey`] — 128-bit circular identifier space, read as 32 hex
 //!   digits (`b = 4`),
-//! * [`RoutingTable`] — 32 rows × 16 columns of longest-prefix entries,
+//! * [`RoutingTable`] — up to 32 rows × 16 columns of longest-prefix
+//!   entries, rows allocated down to the deepest populated one,
 //! * [`LeafSet`] — the `L/2` numerically closest neighbors on each side,
 //! * [`Overlay`] — membership + prefix routing: [`Overlay::route_path`]
 //!   returns the full hop sequence so callers can charge every hop to the

@@ -1,10 +1,10 @@
 //! Overlay membership and prefix routing.
 
 use crate::key::NodeKey;
-use crate::table::{LeafSet, RoutingTable};
+use crate::table::{ring_walks, LeafSet, RoutingTable};
 use crate::MemberId;
 use desim::SimRng;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Network-proximity metric between two members (e.g. simulated latency in
 /// milliseconds). Pastry uses it to prefer nearby nodes in routing tables.
@@ -42,51 +42,49 @@ const MAX_HOPS: usize = 64;
 
 impl Overlay {
     /// Builds an overlay of `n` nodes with random distinct keys drawn from
-    /// `seed`, using `proximity` for routing-table locality choices.
+    /// `seed`, using `proximity` for routing-table locality choices, wired
+    /// up as if the nodes had joined in id order and the membership
+    /// protocols had fully converged after each join.
     pub fn build(n: usize, seed: u64, proximity: ProximityFn<'_>) -> Overlay {
         assert!(n > 0, "empty overlay");
         let mut rng = SimRng::new(seed ^ 0x5061_7374_7279_2131);
+        let mut ring: BTreeMap<NodeKey, MemberId> = BTreeMap::new();
         let mut keys: Vec<NodeKey> = Vec::with_capacity(n);
         while keys.len() < n {
             let k = NodeKey(((rng.next_u64() as u128) << 64) | rng.next_u64() as u128);
-            if !keys.contains(&k) {
+            if let Entry::Vacant(slot) = ring.entry(k) {
+                slot.insert(keys.len());
                 keys.push(k);
             }
         }
-        let mut ov = Overlay {
-            nodes: Vec::new(),
-            ring: BTreeMap::new(),
+        // Flat copy of the ring: the loop below walks it once per node.
+        let by_key: Vec<(NodeKey, MemberId)> = ring.iter().map(|(&k, &m)| (k, m)).collect();
+        let nodes = (0..n)
+            .map(|id| {
+                // A slot changes hands only to a strictly closer candidate,
+                // so equally close ones are settled by who was offered
+                // first. Joining in id order, a node is offered the members
+                // already present — in key order — and then each later
+                // joiner as it arrives.
+                let mut table = RoutingTable::new(keys[id]);
+                let earlier = by_key.iter().copied().filter(|&(_, m)| m < id);
+                let later = (id + 1..n).map(|m| (keys[m], m));
+                for (k, m) in earlier.chain(later) {
+                    table.consider(k, m, |cand| proximity(id, cand));
+                }
+                NodeState {
+                    key: keys[id],
+                    table,
+                    leaves: LeafSet::from_ring(keys[id], DEFAULT_LEAF_SET, &ring),
+                    alive: true,
+                }
+            })
+            .collect();
+        Overlay {
+            nodes,
+            ring,
             leaf_l: DEFAULT_LEAF_SET,
-        };
-        for key in keys {
-            ov.insert_fully_known(key, proximity);
         }
-        ov
-    }
-
-    /// Inserts a node and wires it (and everyone else) up as if the
-    /// membership protocols had fully converged. Used by `build`.
-    fn insert_fully_known(&mut self, key: NodeKey, proximity: ProximityFn<'_>) -> MemberId {
-        let id = self.nodes.len();
-        let mut state = NodeState {
-            key,
-            table: RoutingTable::new(key),
-            leaves: LeafSet::new(key, self.leaf_l),
-            alive: true,
-        };
-        for (&k, &m) in &self.ring {
-            state.leaves.consider(k, m);
-            state.table.consider(k, m, |cand| proximity(id, cand));
-        }
-        for (&k, &m) in self.ring.clone().iter() {
-            let other = &mut self.nodes[m];
-            other.leaves.consider(key, id);
-            other.table.consider(key, id, |cand| proximity(m, cand));
-            let _ = k;
-        }
-        self.ring.insert(key, id);
-        self.nodes.push(state);
-        id
     }
 
     /// Number of member slots ever allocated (alive or dead).
@@ -120,19 +118,51 @@ impl Overlay {
     }
 
     /// The alive member whose key is numerically closest to `key` on the
-    /// ring — the node responsible for storing `key`.
+    /// ring — the node responsible for storing `key`. Of two equally close
+    /// members the one with the smaller key owns it.
     pub fn owner_of(&self, key: NodeKey) -> MemberId {
-        assert!(!self.ring.is_empty(), "no alive members");
-        let mut best = *self.ring.values().next().unwrap();
-        let mut best_d = u128::MAX;
-        for (&k, &m) in &self.ring {
-            let d = k.ring_distance(key);
-            if d < best_d || (d == best_d && k < self.nodes[best].key) {
-                best = m;
-                best_d = d;
-            }
-        }
-        best
+        self.nearest(key).next().expect("no alive members")
+    }
+
+    /// The `count` alive members nearest to `key` by ring distance (fewer
+    /// when fewer are alive), nearest first, equally close ones by
+    /// increasing key.
+    pub fn nearest_members(&self, key: NodeKey, count: usize) -> Vec<MemberId> {
+        self.nearest(key).take(count).collect()
+    }
+
+    /// Alive members by increasing ring distance from `key`: the member at
+    /// `key` itself, then a merge of the ring walked clockwise and
+    /// counter-clockwise from there. Each walk laps the whole ring, so the
+    /// merge is cut off after one ring's worth — up to there the two walks
+    /// cannot have crossed.
+    fn nearest(&self, key: NodeKey) -> impl Iterator<Item = MemberId> + '_ {
+        let at_key = self.ring.get(&key).copied();
+        let (cw, ccw) = ring_walks(&self.ring, key);
+        let (mut cw, mut ccw) = (cw.peekable(), ccw.peekable());
+        let mut left = self.ring.len() - usize::from(at_key.is_some());
+        let others = std::iter::from_fn(move || {
+            left = left.checked_sub(1)?;
+            let (&(a, _), &(b, _)) = (cw.peek()?, ccw.peek()?);
+            let (da, db) = (key.clockwise_distance(a), b.clockwise_distance(key));
+            let next = if da < db || (da == db && a <= b) {
+                cw.next()
+            } else {
+                ccw.next()
+            };
+            next.map(|(_, m)| m)
+        });
+        at_key.into_iter().chain(others)
+    }
+
+    /// Routing state of member `m` (its routing table).
+    pub fn table(&self, m: MemberId) -> &RoutingTable {
+        &self.nodes[m].table
+    }
+
+    /// Routing state of member `m` (its leaf set).
+    pub fn leaf_set(&self, m: MemberId) -> &LeafSet {
+        &self.nodes[m].leaves
     }
 
     /// Routes from `from` toward `key` using only local state at each hop.
@@ -265,9 +295,10 @@ impl Overlay {
         }
         self.nodes.push(state);
         self.ring.insert(key, id);
-        // Converged leaf sets: every alive node re-evaluates the newcomer,
-        // and the newcomer sees the full ring.
-        self.repair_leaf_sets();
+        // Converged leaf sets: the newcomer sees the full ring, and the
+        // nodes it is now a leaf of re-evaluate theirs.
+        self.nodes[id].leaves = LeafSet::from_ring(key, self.leaf_l, &self.ring);
+        self.refresh_leaf_sets_around(key);
         (id, path)
     }
 
@@ -282,27 +313,20 @@ impl Overlay {
         let key = self.nodes[member].key;
         self.nodes[member].alive = false;
         self.ring.remove(&key);
-        for node in &mut self.nodes {
-            if node.alive {
-                node.table.evict(member);
-                node.leaves.evict(member);
-            }
+        for node in self.nodes.iter_mut().filter(|n| n.alive) {
+            node.table.evict(key, member);
         }
-        self.repair_leaf_sets();
+        self.refresh_leaf_sets_around(key);
     }
 
-    /// Rebuilds every alive node's leaf set from the ground-truth ring.
-    fn repair_leaf_sets(&mut self) {
-        let ring: Vec<(NodeKey, MemberId)> = self.ring.iter().map(|(&k, &m)| (k, m)).collect();
-        for &(_, m) in &ring {
-            let key = self.nodes[m].key;
-            let mut fresh = LeafSet::new(key, self.leaf_l);
-            for &(k, other) in &ring {
-                if other != m {
-                    fresh.consider(k, other);
-                }
-            }
-            self.nodes[m].leaves = fresh;
+    /// Re-reads from the ring the leaf sets of the `L/2` alive members on
+    /// either side of `key` — the only ones a member joining or leaving at
+    /// `key` can enter or drop out of.
+    fn refresh_leaf_sets_around(&mut self, key: NodeKey) {
+        let half = self.leaf_l / 2;
+        let (cw, ccw) = ring_walks(&self.ring, key);
+        for (k, m) in cw.take(half).chain(ccw.take(half)) {
+            self.nodes[m].leaves = LeafSet::from_ring(k, self.leaf_l, &self.ring);
         }
     }
 

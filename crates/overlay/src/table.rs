@@ -2,15 +2,21 @@
 
 use crate::key::{NodeKey, DIGIT_BASE, NUM_DIGITS};
 use crate::MemberId;
+use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// A routing-table entry: another member and its key.
 pub(crate) type Entry = Option<(NodeKey, MemberId)>;
 
-/// Pastry routing table: `NUM_DIGITS` rows × `DIGIT_BASE` columns.
+/// Pastry routing table: up to `NUM_DIGITS` rows × `DIGIT_BASE` columns.
 ///
 /// Row `r` holds nodes sharing exactly `r` leading digits with the owner;
 /// column `c` selects the value of digit `r`. The owner's own column in
 /// each row is conceptually the owner itself and stays `None`.
+///
+/// Rows are allocated up to the deepest one ever populated: among `n`
+/// random keys nothing lands below row `⌈log₁₆ n⌉ + 1`, and 32 eager rows
+/// are 24 KB per node.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
     owner_key: NodeKey,
@@ -22,7 +28,7 @@ impl RoutingTable {
     pub fn new(owner_key: NodeKey) -> Self {
         RoutingTable {
             owner_key,
-            rows: vec![[None; DIGIT_BASE]; NUM_DIGITS],
+            rows: Vec::new(),
         }
     }
 
@@ -33,7 +39,7 @@ impl RoutingTable {
 
     /// The entry at `(row, col)`, if populated.
     pub fn entry(&self, row: usize, col: usize) -> Option<(NodeKey, MemberId)> {
-        self.rows[row][col]
+        self.rows.get(row).and_then(|r| r[col])
     }
 
     /// Offers a candidate node. It is placed at its unique `(row, col)`
@@ -51,6 +57,9 @@ impl RoutingTable {
         let row = self.owner_key.shared_prefix_len(key);
         debug_assert!(row < NUM_DIGITS, "distinct keys share < 32 digits");
         let col = key.digit(row);
+        if self.rows.len() <= row {
+            self.rows.resize(row + 1, [None; DIGIT_BASE]);
+        }
         match self.rows[row][col] {
             None => {
                 self.rows[row][col] = Some((key, member));
@@ -66,13 +75,14 @@ impl RoutingTable {
         }
     }
 
-    /// Drops every entry referring to `member` (used on node failure).
-    pub fn evict(&mut self, member: MemberId) {
-        for row in &mut self.rows {
-            for slot in row.iter_mut() {
-                if matches!(slot, Some((_, m)) if *m == member) {
-                    *slot = None;
-                }
+    /// Drops the entry referring to `member`, whose key is `key` (used on
+    /// node failure). [`consider`](Self::consider) files a node only under
+    /// the slot its key maps to, so that slot is the only one to check.
+    pub fn evict(&mut self, key: NodeKey, member: MemberId) {
+        let row = self.owner_key.shared_prefix_len(key);
+        if let Some(slot) = self.rows.get_mut(row).map(|r| &mut r[key.digit(row)]) {
+            if matches!(slot, Some((_, m)) if *m == member) {
+                *slot = None;
             }
         }
     }
@@ -84,7 +94,7 @@ impl RoutingTable {
         if row >= NUM_DIGITS {
             return None; // target == owner
         }
-        self.rows[row][target.digit(row)]
+        self.entry(row, target.digit(row))
     }
 
     /// Iterates over all populated entries.
@@ -101,6 +111,23 @@ impl RoutingTable {
     pub fn is_empty(&self) -> bool {
         self.entries().next().is_none()
     }
+}
+
+/// The members of `ring` other than the one at `key`, walked clockwise and
+/// counter-clockwise from `key`: each walk is a full lap, nearest first.
+pub(crate) fn ring_walks(
+    ring: &BTreeMap<NodeKey, MemberId>,
+    key: NodeKey,
+) -> (
+    impl Iterator<Item = (NodeKey, MemberId)> + '_,
+    impl Iterator<Item = (NodeKey, MemberId)> + '_,
+) {
+    let pair = |(&k, &m): (&NodeKey, &MemberId)| (k, m);
+    let (below, above) = (ring.range(..key), ring.range((Excluded(key), Unbounded)));
+    (
+        above.clone().chain(below.clone()).map(pair),
+        below.rev().chain(above.rev()).map(pair),
+    )
 }
 
 /// Pastry leaf set: the `l/2` numerically closest members on each side of
@@ -132,9 +159,31 @@ impl LeafSet {
         }
     }
 
+    /// The converged leaf set of `owner_key` on `ring`: the `l / 2` nearest
+    /// other members in each direction, read off the ring order (what
+    /// offering every member to [`consider`](Self::consider) would keep).
+    /// On a ring of at most `l / 2` others both sides hold all of them.
+    pub fn from_ring(owner_key: NodeKey, l: usize, ring: &BTreeMap<NodeKey, MemberId>) -> Self {
+        let mut set = LeafSet::new(owner_key, l);
+        let (cw, ccw) = ring_walks(ring, owner_key);
+        set.cw = cw.take(set.half).collect();
+        set.ccw = ccw.take(set.half).collect();
+        set
+    }
+
     /// The key this leaf set belongs to.
     pub fn owner_key(&self) -> NodeKey {
         self.owner_key
+    }
+
+    /// Clockwise (successor) leaves, nearest first.
+    pub fn clockwise(&self) -> &[(NodeKey, MemberId)] {
+        &self.cw
+    }
+
+    /// Counter-clockwise (predecessor) leaves, nearest first.
+    pub fn counter_clockwise(&self) -> &[(NodeKey, MemberId)] {
+        &self.ccw
     }
 
     /// Offers a candidate; it is kept if it ranks within the closest
@@ -193,12 +242,6 @@ impl LeafSet {
         side.insert(pos, (key, member));
         side.truncate(cap);
         true
-    }
-
-    /// Removes a member (node failure).
-    pub fn evict(&mut self, member: MemberId) {
-        self.cw.retain(|&(_, m)| m != member);
-        self.ccw.retain(|&(_, m)| m != member);
     }
 
     /// Whether `target` falls within the span covered by the leaf set
@@ -315,9 +358,44 @@ mod tests {
         t.consider(key(0x9000), 4, |_| 0.0);
         t.consider(key(0x00F0_0000), 9, |_| 0.0);
         assert_eq!(t.len(), 2);
-        t.evict(4);
+        t.evict(key(0x9000), 4);
         assert_eq!(t.len(), 1);
         assert!(t.entries().all(|(_, m)| m == 9));
+        // A member that lost its slot to a closer one is not there to evict.
+        t.evict(key(0x00F0_0001), 5);
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn rows_grow_to_the_deepest_populated_one() {
+        let mut t = RoutingTable::new(key(1));
+        assert_eq!(t.entry(31, 0), None);
+        assert_eq!(t.next_hop(key(0x9000)), None);
+        t.consider(key(0x9000), 4, |_| 0.0);
+        assert_eq!(t.rows.len(), key(1).shared_prefix_len(key(0x9000)) + 1);
+        t.evict(NodeKey(key(1).0 ^ 1), 8); // deepest row, never allocated
+        assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn from_ring_matches_offering_everyone() {
+        for n in [1usize, 2, 3, 4, 5, 9] {
+            let ring: BTreeMap<NodeKey, MemberId> = (0..n)
+                .map(|m| (NodeKey((m as u128 * 37) << 120), m))
+                .collect();
+            for &owner in ring.keys() {
+                let mut want = LeafSet::new(owner, 4);
+                for (&k, &m) in &ring {
+                    want.consider(k, m);
+                }
+                let got = LeafSet::from_ring(owner, 4, &ring);
+                assert_eq!(
+                    (got.cw, got.ccw),
+                    (want.cw, want.ccw),
+                    "n={n} owner={owner}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -364,18 +442,15 @@ mod tests {
     }
 
     #[test]
-    fn leafset_dedup_and_eviction() {
+    fn leafset_dedup() {
         let owner = NodeKey(100);
         let mut ls = LeafSet::new(owner, 4);
+        assert!(ls.is_empty());
         assert!(ls.consider(NodeKey(110), 0));
         assert!(!ls.consider(NodeKey(110), 0), "duplicate ignored");
         assert!(ls.consider(NodeKey(90), 1));
         assert_eq!(ls.len(), 2);
-        ls.evict(0);
-        assert_eq!(ls.len(), 1);
         assert!(!ls.is_empty());
-        ls.evict(1);
-        assert!(ls.is_empty());
     }
 
     #[test]

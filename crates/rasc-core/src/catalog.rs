@@ -253,6 +253,30 @@ mod tests {
     }
 
     #[test]
+    fn audit_passes_through_churn_at_a_thousand_nodes() {
+        // Ownership and replica groups are read off ring walks; at this
+        // size a walk that stopped short or crossed would misplace some
+        // service's registrations within a few failures.
+        let catalog = ServiceCatalog::synthetic(10, 7);
+        let mut ov = Overlay::build(1000, 7, &flat);
+        let mut dir = ServiceDirectory::random_assignment(&catalog, &ov, 1000, 5, 7);
+        assert_eq!(dir.audit(&ov), Vec::<String>::new());
+        let mut rng = SimRng::new(7);
+        for _ in 0..24 {
+            // Aim half of the failures at a registry owner.
+            let owner = ov.owner_of(dir.keys[rng.range_usize(0, 10)]);
+            let v = if rng.chance(0.5) {
+                owner
+            } else {
+                *rng.choose(&ov.alive_members().collect::<Vec<_>>())
+            };
+            ov.remove(v);
+            dir.handle_failure(&ov, v);
+            assert_eq!(dir.audit(&ov), Vec::<String>::new(), "after failing {v}");
+        }
+    }
+
+    #[test]
     fn audit_detects_stale_registrations() {
         let catalog = ServiceCatalog::synthetic(4, 5);
         let mut ov = Overlay::build(12, 5, &flat);

@@ -126,6 +126,10 @@ impl BatchOutcome {
                     h.write_u8(4);
                     h.write_usize(*s);
                 }
+                Err(ComposeError::EndpointDown(v)) => {
+                    h.write_u8(5);
+                    h.write_usize(*v);
+                }
             }
         }
         for &i in &self.replayed {

@@ -55,6 +55,8 @@ pub enum ComposeError {
     },
     /// The request names a service outside the catalog.
     UnknownService(ServiceId),
+    /// The request's source or destination is not an alive node.
+    EndpointDown(NodeId),
 }
 
 impl std::fmt::Display for ComposeError {
@@ -65,6 +67,7 @@ impl std::fmt::Display for ComposeError {
                 write!(f, "insufficient capacity for substream {substream}")
             }
             ComposeError::UnknownService(s) => write!(f, "unknown service {s}"),
+            ComposeError::EndpointDown(v) => write!(f, "endpoint node {v} is down"),
         }
     }
 }

@@ -852,6 +852,28 @@ impl World for EngineState {
 }
 
 impl EngineState {
+    /// Refusals decided before discovery, shared by both admission
+    /// paths: they charge no control traffic and leave the ledger, the
+    /// composer and the RNG stream untouched.
+    fn admission_gate(&self, req: &ServiceRequest) -> Result<(), ComposeError> {
+        if self.draining {
+            // Teardown is in progress; starting a new application now
+            // would emit forever and the backlog could never drain.
+            return Err(ComposeError::InsufficientCapacity { substream: 0 });
+        }
+        if req.validate(&self.catalog).is_err() {
+            return Err(ComposeError::UnknownService(usize::MAX));
+        }
+        // A crashed (or nonexistent) source cannot route its discovery
+        // lookups and nothing can be delivered to a crashed sink.
+        for v in [req.source, req.destination] {
+            if !self.nodes.get(v).is_some_and(|n| n.alive) {
+                return Err(ComposeError::EndpointDown(v));
+            }
+        }
+        Ok(())
+    }
+
     /// §3.1 steps 1–3: discover, gather statistics, compose.
     fn handle_submit(
         &mut self,
@@ -859,15 +881,9 @@ impl EngineState {
         req: ServiceRequest,
         q: &mut EventQueue<Event>,
     ) -> Result<AppId, ComposeError> {
-        if self.draining {
-            // Teardown is in progress; starting a new application now
-            // would emit forever and the backlog could never drain.
+        if let Err(e) = self.admission_gate(&req) {
             self.report.rejected += 1;
-            return Err(ComposeError::InsufficientCapacity { substream: 0 });
-        }
-        if let Err(_e) = req.validate(&self.catalog) {
-            self.report.rejected += 1;
-            return Err(ComposeError::UnknownService(usize::MAX));
+            return Err(e);
         }
         // Step 1: DHT discovery of each distinct service, charged hop by
         // hop to the overlay links.
@@ -1001,14 +1017,9 @@ impl EngineState {
         let mut discovered: FxHashMap<(NodeId, usize), Vec<NodeId>> = FxHashMap::default();
         let mut polled: desim::hash::FxHashSet<(NodeId, NodeId)> = Default::default();
         for (r, req) in reqs.into_iter().enumerate() {
-            if self.draining {
+            if let Err(e) = self.admission_gate(&req) {
                 self.report.rejected += 1;
-                apps[r] = Some(Err(ComposeError::InsufficientCapacity { substream: 0 }));
-                continue;
-            }
-            if req.validate(&self.catalog).is_err() {
-                self.report.rejected += 1;
-                apps[r] = Some(Err(ComposeError::UnknownService(usize::MAX)));
+                apps[r] = Some(Err(e));
                 continue;
             }
             // Step 1: discovery, once per distinct (source, service).

@@ -187,3 +187,46 @@ fn cascading_failures_leave_a_working_system() {
     e.run_for_secs(10.0);
     assert!(e.report().delivered > before, "system wedged after churn");
 }
+
+/// A request whose source or destination has crashed (or never existed)
+/// is refused with a typed error on both admission paths — the source
+/// could not even route its discovery lookups — and the refusal leaves
+/// no trace: a twin engine that never saw those requests admits the next
+/// ones onto the same hosts and delivers the same units.
+#[test]
+fn crashed_endpoints_are_refused_with_a_typed_error() {
+    use rasc_core::compose::ComposeError::EndpointDown;
+    let (mut e, mut twin) = (engine(), engine());
+    e.fail_node(6);
+    twin.fail_node(6);
+    let from_dead = ServiceRequest::chain(&[0, 1], 10.0, 6, 7);
+    let to_dead = ServiceRequest::chain(&[0, 1], 10.0, 7, 6);
+    let nowhere = ServiceRequest::chain(&[0], 10.0, 7, 99);
+    let valid = ServiceRequest::chain(&[0, 1], 10.0, 7, 0);
+
+    assert_eq!(e.submit(from_dead.clone()), Err(EndpointDown(6)));
+    assert_eq!(e.submit(to_dead.clone()), Err(EndpointDown(6)));
+    assert_eq!(e.submit(nowhere), Err(EndpointDown(99)));
+    let batch = e.submit_batch(vec![from_dead, valid.clone(), to_dead], 2);
+    assert_eq!(batch.apps[0], Err(EndpointDown(6)));
+    assert_eq!(batch.apps[2], Err(EndpointDown(6)));
+    assert_eq!(e.report().rejected, 5);
+
+    let app = *batch.apps[1]
+        .as_ref()
+        .expect("the live request is admitted");
+    let twin_batch = twin.submit_batch(vec![valid.clone()], 2);
+    let twin_app = *twin_batch.apps[0].as_ref().unwrap();
+    assert_eq!(e.app_graph(app), twin.app_graph(twin_app));
+    let (next, twin_next) = (e.submit(valid.clone()), twin.submit(valid));
+    assert_eq!(
+        e.app_graph(next.unwrap()),
+        twin.app_graph(twin_next.unwrap())
+    );
+    e.run_for_secs(5.0);
+    twin.run_for_secs(5.0);
+    let (r, t) = (e.report(), twin.report());
+    assert_eq!((r.generated, r.delivered), (t.generated, t.delivered));
+    assert_eq!(t.rejected, 0);
+    assert!(e.audit_report().is_none_or(|a| a.clean()));
+}

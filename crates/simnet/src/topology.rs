@@ -52,6 +52,8 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl LatencyModel {
+    // `always`: see `rasc_core::compose::LatencyMatrix::get`.
+    #[inline(always)]
     fn get(&self, u: NodeId, v: NodeId, n: usize) -> SimDuration {
         match self {
             LatencyModel::Dense(m) => m[u * n + v],
@@ -134,6 +136,8 @@ impl Topology {
     }
 
     /// One-way propagation latency `u → v`.
+    // `always`: see `rasc_core::compose::LatencyMatrix::get`.
+    #[inline(always)]
     pub fn latency(&self, u: NodeId, v: NodeId) -> SimDuration {
         self.latency.get(u, v, self.len())
     }

@@ -51,13 +51,24 @@ cargo test -q -p rasc-core --test view_index_equivalence --test batch_determinis
 # can never slip past verification.
 cargo test -q -p rasc-core --test shard_equivalence --test shard_rollback
 
+# Overlay membership equivalence: build, join, remove, owner_of and the
+# replica-group walk touch only the state a membership change can
+# affect; the suite keeps the quadratic from-scratch construction as a
+# test-only oracle and asserts every routing-table slot and both
+# leaf-set sides equal after each of hundreds of seeded operations,
+# under a tie-heavy asymmetric proximity metric. Named so a change to
+# offer order, slot eviction or a ring walk can never slip past
+# verification.
+cargo test -q -p overlay --test membership_equivalence
+
 # Microbenchmark smoke run: small fixed-seed iterations; exercises the
 # compose/solver hot paths, the data plane, and the batch-admission
 # pipeline (including the steady-state allocation asserts) without
 # touching the committed BENCH_compose.json. The smoke numbers are then
 # diffed against the committed ones, direction keyed off each line's
-# unit token: a ns/op hot-path benchmark (compose*/solver*/adapt*) more
-# than 2x slower, a units/s dataplane/* or admission/* rate at less than
+# unit token: a ns/op hot-path benchmark (compose*/solver*/adapt*, and
+# the overlay/ membership operations) more than 2x slower, a units/s
+# dataplane/* or admission/* rate at less than
 # half the committed throughput (for admission/apps_per_sec entries that
 # inverted direction is the ISSUE's >2x tripwire), or an x-unit
 # adapt/basis_* speedup ratio at less than half the committed one
@@ -108,7 +119,7 @@ if [ -f BENCH_compose.json ]; then
       if (cores + 0 <= 1 && name ~ /(pooled|parallel)/) return 1
       return 0
     }
-    $3 == "ns/op" && $1 ~ /^(compose|solver|adapt)/ && !scaling_skip($1) {
+    $3 == "ns/op" && $1 ~ /^(compose|solver|adapt|overlay\/)/ && !scaling_skip($1) {
       if (unit[$1] == "ns/op" && base[$1] > 0 && $2 > 2 * base[$1])
         printf "verify: WARNING %s regressed %.1fx vs committed (%.0f -> %.0f ns/op)\n", \
             $1, $2 / base[$1], base[$1], $2
