@@ -466,21 +466,24 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
     }
 
     // --- Data-plane throughput: the units/sec headline ----------------
-    // Engine-level generated-units-per-wall-second across event-queue
-    // backends and transfer batch sizes. These entries are rates
-    // (bigger is better); verify.sh inverts its regression tripwire
-    // for the `units/s` unit.
+    // Engine-level generated-units-per-wall-second per transfer batch
+    // size. These entries are rates (bigger is better); verify.sh
+    // inverts its regression tripwire for the `units/s` unit. The
+    // events-per-unit counts are exact and independent of `quick`.
     if want("dataplane") {
         use rasc_bench::dataplane;
-        let horizon = if quick { 1.0 } else { 4.0 };
+        let horizon = if quick { 0.5 } else { 2.0 };
         for &apps in &dataplane::SIZES {
             for variant in dataplane::VARIANTS {
                 results.push(dataplane::throughput(apps, variant, horizon));
             }
         }
+        for variant in dataplane::VARIANTS {
+            results.push(dataplane::events_per_unit(48, variant));
+        }
         // Steady-state allocation gate for the batched data plane: after
-        // warm-up the SoA store, batch pool, and wheel slots must recycle.
-        let allocs = dataplane::steady_state_allocs(dataplane::SIZES[1], dataplane::VARIANTS[2]);
+        // warm-up the SoA store, batch pool, and event queue must recycle.
+        let allocs = dataplane::steady_state_allocs(dataplane::SIZES[1], dataplane::VARIANTS[1]);
         assert_eq!(allocs, 0, "steady-state data plane must be allocation-free");
         println!("steady-state allocations per simulated second of batched data plane: {allocs}");
     }
@@ -755,15 +758,11 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
     }
     for &apps in &rasc_bench::dataplane::SIZES {
         let rate = |variant: &str| ns_of(&format!("dataplane/units_per_sec/{variant}/{apps}"));
-        let heap = rate("heap_perunit");
         println!(
-            "dataplane units/sec at {apps} apps: heap/per-unit {:.0}, wheel/per-unit {:.0} \
-             ({:.1}x), wheel+batch {:.0} ({:.1}x)",
-            heap,
-            rate("wheel_perunit"),
-            rate("wheel_perunit") / heap,
-            rate("wheel_batch"),
-            rate("wheel_batch") / heap,
+            "dataplane units/sec at {apps} apps: per-unit {:.0}, batch-32 {:.0} ({:.1}x)",
+            rate("perunit"),
+            rate("batch32"),
+            rate("batch32") / rate("perunit"),
         );
     }
     let serial_headline = ns_of("admission/apps_per_sec/serial_1req/1000");
@@ -845,7 +844,7 @@ fn chaos_soak_cmd(quick: bool) {
     };
     let threads = desim::pool::default_threads().max(2);
     println!(
-        "chaos soak: {} seeds x {} fault plans x {} composers x {} data planes = {} audited runs",
+        "chaos soak: {} seeds x {} fault plans x {} composers x {} transfer batches = {} audited runs",
         cfg.seeds.len(),
         cfg.profiles.len(),
         cfg.composers.len(),
@@ -864,11 +863,10 @@ fn chaos_soak_cmd(quick: bool) {
         if r.violations > 0 {
             failed = true;
             eprintln!(
-                "VIOLATIONS seed {} {} {} {:?}/batch{}: {} ({:?})",
+                "VIOLATIONS seed {} {} {} batch{}: {} ({:?})",
                 r.seed,
                 r.profile.label(),
                 r.composer.label(),
-                r.backend,
                 r.batch,
                 r.violations,
                 r.messages
@@ -893,21 +891,6 @@ fn chaos_soak_cmd(quick: bool) {
         );
     } else {
         println!("serial and parallel digests match");
-    }
-    if let Some((a, b)) = parallel.backend_mismatch(cfg.variants.len()) {
-        failed = true;
-        eprintln!(
-            "BACKEND MISMATCH seed {} {} {}: {:?} digest {:016x} != {:?} digest {:016x}",
-            a.seed,
-            a.profile.label(),
-            a.composer.label(),
-            a.backend,
-            a.digest,
-            b.backend,
-            b.digest
-        );
-    } else {
-        println!("per-cell digests are backend-independent at batch 1");
     }
 
     // Sharded-composer axis: shard counts × digest-refresh intervals on

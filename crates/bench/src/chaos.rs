@@ -6,7 +6,7 @@
 //! one deterministic matrix digest — bit-identical whether the matrix
 //! is executed serially or on the worker pool.
 
-use desim::{QueueBackend, SimDuration};
+use desim::SimDuration;
 use rasc_core::compose::ComposerKind;
 use rasc_core::engine::{fnv1a64, Engine, EngineConfig, FaultPlan, FaultProfile};
 use rasc_core::model::{ServiceCatalog, ServiceRequest};
@@ -22,12 +22,11 @@ pub struct ChaosConfig {
     pub profiles: Vec<FaultProfile>,
     /// Composition algorithms under test.
     pub composers: Vec<ComposerKind>,
-    /// Data-plane variants: (event-queue backend, transfer batch). The
-    /// matrix crosses these with every (seed, profile, composer) cell.
-    /// All batch-1 variants of a cell must produce *identical* digests —
-    /// the event-queue backend is unobservable — while batched variants
-    /// coarsen timing and are held to the audit invariants only.
-    pub variants: Vec<(QueueBackend, u32)>,
+    /// Data-plane variants: transfer batch sizes. The matrix crosses
+    /// these with every (seed, profile, composer) cell; batch 1 is the
+    /// per-unit plane, larger batches coarsen timing and are held to the
+    /// same audit invariants.
+    pub variants: Vec<u32>,
     /// Provider nodes per run (two endpoint nodes are appended).
     pub providers: usize,
     /// Simulated horizon per run, seconds; fault times land inside it.
@@ -40,11 +39,7 @@ impl Default for ChaosConfig {
             seeds: (1..=8).collect(),
             profiles: FaultProfile::ALL.to_vec(),
             composers: ComposerKind::ALL.to_vec(),
-            variants: vec![
-                (QueueBackend::BinaryHeap, 1),
-                (QueueBackend::TimerWheel, 1),
-                (QueueBackend::TimerWheel, 8),
-            ],
+            variants: vec![1, 8],
             providers: 6,
             horizon_secs: 20.0,
         }
@@ -75,8 +70,6 @@ pub struct ChaosRun {
     pub profile: FaultProfile,
     /// Composer under test.
     pub composer: ComposerKind,
-    /// Event-queue backend the run's engine scheduled on.
-    pub backend: QueueBackend,
     /// Units coalesced per link transfer.
     pub batch: u32,
     /// Deterministic digest of the run's counters and audit trail.
@@ -105,24 +98,6 @@ impl ChaosSummary {
     pub fn clean(&self) -> bool {
         self.violations == 0
     }
-
-    /// First pair of batch-1 runs of the same (seed, profile, composer)
-    /// cell whose digests differ, if any. The event-queue backend must be
-    /// unobservable at `transfer_batch == 1`: a mismatch means a backend
-    /// reordered same-instant events. `None` is the healthy outcome.
-    pub fn backend_mismatch(&self, variants: usize) -> Option<(&ChaosRun, &ChaosRun)> {
-        // Job order keeps a cell's variants adjacent.
-        for cell in self.runs.chunks(variants) {
-            let mut perunit = cell.iter().filter(|r| r.batch == 1);
-            let Some(first) = perunit.next() else {
-                continue;
-            };
-            if let Some(bad) = perunit.find(|r| r.digest != first.digest) {
-                return Some((first, bad));
-            }
-        }
-        None
-    }
 }
 
 /// Builds the audited engine for one cell: `providers` nodes offering
@@ -132,7 +107,7 @@ fn build_engine(
     cfg: &ChaosConfig,
     seed: u64,
     composer: ComposerKind,
-    variant: (QueueBackend, u32),
+    batch: u32,
     plan: FaultPlan,
 ) -> Engine {
     let nodes = cfg.providers + 2;
@@ -149,8 +124,7 @@ fn build_engine(
         .offers(offers)
         .config(EngineConfig {
             composer,
-            queue_backend: variant.0,
-            transfer_batch: variant.1,
+            transfer_batch: batch,
             audit: true,
             audit_period_secs: 1.0,
             ..Default::default()
@@ -168,11 +142,11 @@ fn run_cell(
     seed: u64,
     profile: FaultProfile,
     composer: ComposerKind,
-    variant: (QueueBackend, u32),
+    batch: u32,
 ) -> ChaosRun {
     let candidates: Vec<usize> = (0..cfg.providers).collect();
     let plan = FaultPlan::generate(profile, seed, &candidates, cfg.horizon_secs);
-    let mut e = build_engine(cfg, seed, composer, variant, plan);
+    let mut e = build_engine(cfg, seed, composer, batch, plan);
     let src = cfg.providers;
     let dst = cfg.providers + 1;
     let _ = e.submit(
@@ -194,8 +168,7 @@ fn run_cell(
         seed,
         profile,
         composer,
-        backend: variant.0,
-        batch: variant.1,
+        batch,
         digest: e.run_digest(),
         violations: audit.violation_count(),
         messages: audit.violations,
@@ -210,8 +183,8 @@ pub fn chaos_soak_threads(cfg: &ChaosConfig, threads: usize) -> ChaosSummary {
     for &seed in &cfg.seeds {
         for &profile in &cfg.profiles {
             for &composer in &cfg.composers {
-                for &variant in &cfg.variants {
-                    jobs.push((seed, profile, composer, variant));
+                for &batch in &cfg.variants {
+                    jobs.push((seed, profile, composer, batch));
                 }
             }
         }
@@ -219,7 +192,7 @@ pub fn chaos_soak_threads(cfg: &ChaosConfig, threads: usize) -> ChaosSummary {
     let runs = desim::pool::parallel_map_threads(
         threads,
         &jobs,
-        |_, &(seed, profile, composer, variant)| run_cell(cfg, seed, profile, composer, variant),
+        |_, &(seed, profile, composer, batch)| run_cell(cfg, seed, profile, composer, batch),
     );
     let digest = fnv1a64(runs.iter().map(|r| r.digest));
     let violations = runs.iter().map(|r| r.violations).sum();
@@ -440,7 +413,7 @@ mod tests {
             seeds: vec![4, 5],
             profiles: vec![FaultProfile::Mixed],
             composers: vec![ComposerKind::MinCost, ComposerKind::Greedy],
-            variants: vec![(QueueBackend::BinaryHeap, 1), (QueueBackend::TimerWheel, 1)],
+            variants: vec![1],
             horizon_secs: 12.0,
             ..Default::default()
         }
@@ -453,9 +426,6 @@ mod tests {
         assert!(a.clean(), "{:#?}", a.runs);
         assert_eq!(a.runs.len(), cfg.runs());
         assert!(a.runs.iter().all(|r| r.checkpoints > 0));
-        if let Some((x, y)) = a.backend_mismatch(cfg.variants.len()) {
-            panic!("backend-dependent digest: {x:#?} vs {y:#?}");
-        }
         let b = chaos_soak_threads(&cfg, 2);
         assert_eq!(a.digest, b.digest, "digest depends on worker count");
     }
@@ -492,7 +462,7 @@ mod tests {
             seeds: vec![6],
             profiles: vec![FaultProfile::Mixed],
             composers: vec![ComposerKind::MinCost],
-            variants: vec![(QueueBackend::TimerWheel, 8)],
+            variants: vec![8],
             horizon_secs: 12.0,
             ..Default::default()
         };

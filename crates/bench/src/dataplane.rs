@@ -1,18 +1,22 @@
 //! Data-plane throughput benchmark: the `units/sec` headline metric.
 //!
 //! Each cell drives a fixed fleet of single-service chains through an
-//! engine for a simulated horizon and reports *data units generated per
-//! wall-clock second* — the rate at which the simulator can push units
-//! through the full pipeline (source emission, link transfer, CPU
-//! service, destination delivery). Three variants isolate the two
-//! data-plane optimizations:
+//! engine and reports *data units generated per wall-clock second* — the
+//! rate at which the simulator can push units through the full pipeline
+//! (source emission, link transfer, CPU service, destination delivery).
+//! Two variants:
 //!
-//! * `heap_perunit` — `BinaryHeap` event queue, one transfer per unit
-//!   (the pre-optimization reference),
-//! * `wheel_perunit` — hierarchical timer wheel, still per-unit
-//!   transfers (isolates the event-queue backend),
-//! * `wheel_batch` — timer wheel plus batched link transfers (the
-//!   production configuration; one event amortizes a burst).
+//! * `perunit` — one link transfer and one CPU burst per unit (the
+//!   engine's default, and the per-unit plane of §3.4),
+//! * `batch32` — 32 units coalesced per transfer and per burst.
+//!
+//! Rows:
+//!
+//! * `dataplane/units_per_sec/<variant>/<apps>` — median, min and max
+//!   over [`SAMPLES`] consecutive horizons of one warmed engine,
+//! * `dataplane/events_per_unit/<variant>/48` — queue events delivered
+//!   per delivered unit over a fixed horizon: an exact work count that
+//!   moves only when the data plane's event structure does.
 //!
 //! Apps are pinned one-per-provider (each app's service is offered by
 //! exactly one node), so the pipeline shape is identical across
@@ -21,8 +25,8 @@
 //! not the variant. Bigger is better: `scripts/verify.sh` inverts its
 //! regression tripwire for the `units/s` unit.
 
-use crate::microbench::{count_allocations, record_rate, Measurement};
-use desim::{QueueBackend, SimDuration};
+use crate::microbench::{count_allocations, from_samples, record_value, Measurement};
+use desim::SimDuration;
 use rasc_core::compose::ComposerKind;
 use rasc_core::engine::{Engine, EngineConfig};
 use rasc_core::model::{Service, ServiceCatalog, ServiceRequest};
@@ -32,32 +36,26 @@ use std::time::Instant;
 /// One data-plane engine configuration under measurement.
 #[derive(Clone, Copy, Debug)]
 pub struct DataplaneVariant {
-    /// Bench id component, e.g. `"wheel_batch"`.
+    /// Bench id component, e.g. `"batch32"`.
     pub label: &'static str,
-    /// Event-queue backend.
-    pub backend: QueueBackend,
     /// Units coalesced per link transfer (1 = per-unit reference plane).
     pub batch: u32,
 }
 
-/// The measured variants, reference first.
-pub const VARIANTS: [DataplaneVariant; 3] = [
+/// The measured variants, per-unit reference first.
+pub const VARIANTS: [DataplaneVariant; 2] = [
     DataplaneVariant {
-        label: "heap_perunit",
-        backend: QueueBackend::BinaryHeap,
+        label: "perunit",
         batch: 1,
     },
     DataplaneVariant {
-        label: "wheel_perunit",
-        backend: QueueBackend::TimerWheel,
-        batch: 1,
-    },
-    DataplaneVariant {
-        label: "wheel_batch",
-        backend: QueueBackend::TimerWheel,
+        label: "batch32",
         batch: 32,
     },
 ];
+
+/// Timed horizons per `units_per_sec` row.
+const SAMPLES: usize = 5;
 
 /// Concurrent single-service apps per cell (the bench size axis). Each
 /// app gets its own provider node, so the largest size is also the
@@ -95,7 +93,6 @@ fn build_engine(apps: usize, variant: DataplaneVariant) -> Engine {
         .offers(offers)
         .config(EngineConfig {
             composer: ComposerKind::MinCost,
-            queue_backend: variant.backend,
             transfer_batch: variant.batch,
             exec_noise_sigma: 0.0,
             ..Default::default()
@@ -104,7 +101,7 @@ fn build_engine(apps: usize, variant: DataplaneVariant) -> Engine {
 }
 
 /// Builds, submits, and warms up one cell's engine (0.5 s of simulated
-/// traffic, so stores, pools, and wheel slots reach steady state).
+/// traffic, so stores, pools, and the event queue reach steady state).
 fn warmed_engine(apps: usize, variant: DataplaneVariant) -> Engine {
     let mut e = build_engine(apps, variant);
     let src = apps;
@@ -117,34 +114,58 @@ fn warmed_engine(apps: usize, variant: DataplaneVariant) -> Engine {
     e
 }
 
-/// Measures one cell: wall-clocks `horizon_secs` of simulated traffic
-/// on a warmed engine and reports generated units per wall second as
+/// Measures one cell: wall-clocks [`SAMPLES`] consecutive horizons of
+/// `horizon_secs` simulated traffic on one warmed engine and reports
+/// generated units per wall second as
 /// `dataplane/units_per_sec/<variant>/<apps>`.
 pub fn throughput(apps: usize, variant: DataplaneVariant, horizon_secs: f64) -> Measurement {
     let mut e = warmed_engine(apps, variant);
-    let before = e.report().generated;
-    let start = Instant::now();
-    e.run_for_secs(horizon_secs);
-    let wall = start.elapsed();
-    let units = e.report().generated - before;
-    record_rate(
-        &format!("dataplane/units_per_sec/{}/{apps}", variant.label),
-        units,
-        wall,
-    )
+    let mut units = 0;
+    let rates = (0..SAMPLES)
+        .map(|_| {
+            let before = e.report().generated;
+            let start = Instant::now();
+            e.run_for_secs(horizon_secs);
+            let wall = start.elapsed().as_secs_f64();
+            units = e.report().generated - before;
+            units as f64 / wall.max(1e-12)
+        })
+        .collect();
+    let name = format!("dataplane/units_per_sec/{}/{apps}", variant.label);
+    Measurement {
+        unit: "units/s".to_string(),
+        ..from_samples(&name, units, rates)
+    }
+}
+
+/// Queue events delivered per delivered unit from build through one
+/// simulated second past warm-up, as
+/// `dataplane/events_per_unit/<variant>/<apps>`; `iters` carries the
+/// exact event count. Deterministic: it depends only on the engine's
+/// event structure.
+pub fn events_per_unit(apps: usize, variant: DataplaneVariant) -> Measurement {
+    let mut e = warmed_engine(apps, variant);
+    e.run_for_secs(1.0);
+    let fired = e.events_fired();
+    Measurement {
+        iters: fired,
+        ..record_value(
+            &format!("dataplane/events_per_unit/{}/{apps}", variant.label),
+            fired as f64 / e.report().delivered as f64,
+            "events/unit",
+        )
+    }
 }
 
 /// Heap allocations during one simulated second of steady-state traffic
 /// on a warmed engine. The SoA unit store, batch pool, pooled CPU/run
-/// vectors, and timer-wheel slots must all be at capacity after warm-up,
-/// so this is asserted to be zero by `repro bench`.
+/// vectors, and the event queue's heap and slab must all be at capacity
+/// after warm-up, so this is asserted to be zero by `repro bench`.
 pub fn steady_state_allocs(apps: usize, variant: DataplaneVariant) -> u64 {
     let mut e = warmed_engine(apps, variant);
     // The bandwidth meters hold a sliding window of (time, bits) pairs
     // covering `measure_window_secs` (4 s) of traffic; their deques only
-    // stop growing once a full window has elapsed. Warm well past that,
-    // plus slack for slow-rotating timer-wheel levels (level 5 rotates
-    // every ~1.07 s) to reach their peak slot occupancy.
+    // stop growing once a full window has elapsed. Warm well past that.
     e.run_for_secs(7.5);
     count_allocations(|| e.run_for_secs(1.0))
 }
@@ -174,7 +195,7 @@ mod tests {
     #[test]
     fn generated_count_is_variant_independent() {
         // Same simulated horizon => same offered load, whatever the
-        // backend or batch size. Units/sec differences are wall time,
+        // batch size. Units/sec differences are wall time,
         // never workload drift. A batched source emits whole bursts, so
         // at the horizon cutoff counts may differ by up to one burst per
         // app — but no more.
@@ -196,9 +217,19 @@ mod tests {
 
     #[test]
     fn throughput_reports_rate_unit() {
-        let m = throughput(2, VARIANTS[1], 0.5);
+        let m = throughput(2, VARIANTS[0], 0.1);
         assert_eq!(m.unit, "units/s");
-        assert!(m.value > 0.0);
-        assert!(m.name.starts_with("dataplane/units_per_sec/wheel_perunit/"));
+        assert_eq!(m.samples, SAMPLES);
+        assert!(0.0 < m.min && m.min <= m.value && m.value <= m.max);
+        assert_eq!(m.name, "dataplane/units_per_sec/perunit/2");
+    }
+
+    #[test]
+    fn events_per_unit_is_exact_and_batching_cuts_it() {
+        let [perunit, batch32] = VARIANTS;
+        let a = events_per_unit(2, perunit);
+        assert_eq!(a.name, "dataplane/events_per_unit/perunit/2");
+        assert_eq!(a.value, events_per_unit(2, perunit).value);
+        assert!(events_per_unit(2, batch32).value < a.value / 4.0);
     }
 }

@@ -5,9 +5,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time,
 //! * [`EventQueue`] — a cancellable priority queue of timestamped events with
-//!   deterministic FIFO tie-breaking; two bit-for-bit equivalent backends
-//!   ([`QueueBackend`]): a reference binary heap and an O(1)-amortized
-//!   hierarchical timer wheel for throughput-bound simulations,
+//!   deterministic FIFO tie-breaking: a binary heap of small
+//!   `(time, seq, slot)` keys over a slab that holds the payloads in place,
+//!   with `(slot, seq)` handles that stay safe after their slot is reused,
 //! * [`SimRng`] — a small, fully deterministic PRNG (xoshiro256++ seeded via
 //!   SplitMix64) with the distributions the workloads need,
 //! * [`World`] + [`run`] — a simple dispatch loop driving a user-defined
@@ -52,7 +52,6 @@ pub mod pool;
 mod queue;
 mod rng;
 mod time;
-mod wheel;
 
 pub use driver::{run, run_until, StepOutcome, World};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -105,3 +105,60 @@ fn interleaved_cancel_fire_cycles_stay_bounded() {
     assert_eq!(q.total_fired(), expected_fired);
     assert_eq!(w.fired.len() as u64, expected_fired);
 }
+
+/// ABA: once an event has fired or been cancelled, its slot is reused by
+/// the next schedule. The old handle must then be refused and must leave
+/// the slot's new occupant alone.
+#[test]
+fn stale_handle_cannot_cancel_the_slot_reuser() {
+    let mut q = EventQueue::new();
+    let fired = q.schedule(t(1), 1u32);
+    assert_eq!(q.pop(), Some((t(1), 1)));
+    let reuser = q.schedule(t(2), 2);
+    assert!(
+        !q.cancel(fired),
+        "fired handle cancelled the slot's new event"
+    );
+
+    let cancelled = q.schedule(t(3), 3);
+    assert!(q.cancel(cancelled));
+    let reuser2 = q.schedule(t(4), 4);
+    assert!(
+        !q.cancel(cancelled),
+        "cancelled handle cancelled a newer event"
+    );
+    assert_eq!(q.pending_len(), 2);
+
+    assert_eq!(q.pop(), Some((t(2), 2)));
+    assert_eq!(q.pop(), Some((t(4), 4)));
+    assert_eq!(q.pop(), None);
+    assert!(!q.cancel(reuser) && !q.cancel(reuser2));
+    assert_eq!(q.raw_len() + q.pending_len() + q.cancelled_backlog(), 0);
+}
+
+/// A storm of cancels and reschedules — every live timer is cancelled and
+/// re-armed many times over, as a retransmission timer would be — must
+/// deliver each timer once, at its last arming, and drain to zero.
+#[test]
+fn cancel_reschedule_storm_drains_to_zero() {
+    let mut q = EventQueue::new();
+    let mut timers: Vec<EventHandle> = (0..64u32).map(|i| q.schedule(t(1), i)).collect();
+    for round in 0..200u64 {
+        for (i, h) in timers.iter_mut().enumerate() {
+            if !(i as u64 + round).is_multiple_of(3) {
+                assert!(q.cancel(*h));
+                *h = q.schedule(t(10 + round), i as u32);
+            }
+        }
+        assert_eq!(q.pending_len(), 64);
+        assert!(q.cancelled_backlog() <= q.raw_len());
+    }
+    let mut w = TimerWorld { fired: Vec::new() };
+    let (_, outcome) = desim::run_until(&mut w, &mut q, SimTime::MAX, u64::MAX);
+    assert_eq!(outcome, StepOutcome::Drained);
+    w.fired.sort_unstable();
+    assert_eq!(w.fired, (0..64).collect::<Vec<u32>>());
+    assert_eq!(q.raw_len(), 0);
+    assert_eq!(q.pending_len(), 0);
+    assert_eq!(q.cancelled_backlog(), 0);
+}

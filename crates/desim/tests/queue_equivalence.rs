@@ -1,16 +1,17 @@
-//! Backend equivalence: the timer-wheel `EventQueue` backend must be
-//! bit-for-bit interchangeable with the `BinaryHeap` reference.
+//! Reference-model equivalence: `EventQueue` must behave exactly like a
+//! linear-scan queue that keeps every event it was ever given.
 //!
-//! Every test drives the *same* seeded schedule/cancel/pop script into
-//! one queue per backend and asserts the observable behaviour — pop
-//! sequence (times and payloads), cancel return values, peeks, and
-//! counters — is identical. `SimRng` drives the scripts, so any failure
-//! reproduces from the case number in the assertion message.
+//! Every test replays a seeded schedule/cancel/pop/peek script into both
+//! and compares, after each step, the step's result (popped event, cancel
+//! verdict, peeked time) and all five counters. Handles of fired and
+//! cancelled events stay in the script's handle pool, so cancels hit
+//! slots that the queue has since reused — the stale-handle (ABA) case.
+//! `SimRng` drives the scripts, so any failure reproduces from the case
+//! number in the assertion message.
 
-use desim::{EventQueue, QueueBackend, SimRng, SimTime};
+use desim::{EventQueue, SimRng, SimTime};
 
-/// One scripted operation, pre-drawn so both backends replay the exact
-/// same sequence.
+/// One scripted operation.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     /// Schedule at the given time (µs).
@@ -20,15 +21,126 @@ enum Op {
     /// Cancel the n-th handle issued so far (wrapping), which may
     /// target live, fired, or already-cancelled events alike.
     CancelNth(usize),
-    /// Peek the front time (compacts cancelled heads on both).
+    /// Peek the front time (discards cancelled heads on the queue).
     Peek,
+}
+
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum State {
+    Live,
+    /// Cancelled, and its tombstone not yet discarded.
+    Cancelled,
+    /// Fired, or cancelled with its tombstone discarded.
+    Gone,
+}
+
+/// The reference: event `s` is the `s`-th one scheduled and carries
+/// payload `s`. Every query scans all events.
+#[derive(Default)]
+struct Reference {
+    events: Vec<(SimTime, State)>,
+    fired: u64,
+}
+
+impl Reference {
+    fn cancel(&mut self, s: usize) -> bool {
+        let live = self.events[s].1 == State::Live;
+        if live {
+            self.events[s].1 = State::Cancelled;
+        }
+        live
+    }
+
+    /// The earliest live event; tombstones ahead of it are discarded, as
+    /// a heap discards them on the way to its first live key.
+    fn front(&mut self) -> Option<usize> {
+        let front = (0..self.events.len())
+            .filter(|&s| self.events[s].1 == State::Live)
+            .min_by_key(|&s| (self.events[s].0, s));
+        let bound = front.map(|s| (self.events[s].0, s));
+        for (s, e) in self.events.iter_mut().enumerate() {
+            if e.1 == State::Cancelled && bound.is_none_or(|b| (e.0, s) < b) {
+                e.1 = State::Gone;
+            }
+        }
+        front
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let s = self.front()?;
+        self.events[s].1 = State::Gone;
+        self.fired += 1;
+        Some((self.events[s].0, s as u64))
+    }
+
+    /// `[scheduled, fired, raw, pending, cancelled]`.
+    fn counters(&self) -> [u64; 5] {
+        let (mut live, mut cancelled) = (0, 0);
+        for e in &self.events {
+            live += (e.1 == State::Live) as u64;
+            cancelled += (e.1 == State::Cancelled) as u64;
+        }
+        let scheduled = self.events.len() as u64;
+        [scheduled, self.fired, live + cancelled, live, cancelled]
+    }
+}
+
+fn counters(q: &EventQueue<u64>) -> [u64; 5] {
+    [
+        q.total_scheduled(),
+        q.total_fired(),
+        q.raw_len() as u64,
+        q.pending_len() as u64,
+        q.cancelled_backlog() as u64,
+    ]
+}
+
+/// Replays `script` on the queue and the reference, asserting equality
+/// after every step and through a final drain. Returns how many cancels
+/// the queue accepted.
+fn check(script: &[Op], case: &str) -> usize {
+    let mut q = EventQueue::new();
+    let mut reference = Reference::default();
+    let mut handles = Vec::new();
+    let mut accepted = 0;
+    for (step, op) in script.iter().enumerate() {
+        match *op {
+            Op::Schedule(us) => {
+                let at = SimTime::from_micros(us);
+                handles.push(q.schedule(at, handles.len() as u64));
+                reference.events.push((at, State::Live));
+            }
+            Op::Pop => assert_eq!(q.pop(), reference.pop(), "{case} step {step}: pop"),
+            Op::CancelNth(i) if !handles.is_empty() => {
+                let s = i % handles.len();
+                let ok = q.cancel(handles[s]);
+                assert_eq!(ok, reference.cancel(s), "{case} step {step}: cancel {s}");
+                accepted += ok as usize;
+            }
+            Op::CancelNth(_) => {}
+            Op::Peek => {
+                let want = reference.front().map(|s| reference.events[s].0);
+                assert_eq!(q.peek_time(), want, "{case} step {step}: peek");
+            }
+        }
+        assert_eq!(counters(&q), reference.counters(), "{case} step {step}");
+    }
+    loop {
+        let popped = q.pop();
+        assert_eq!(popped, reference.pop(), "{case}: drain");
+        if popped.is_none() {
+            break;
+        }
+    }
+    assert_eq!(counters(&q), reference.counters(), "{case}: drained");
+    assert_eq!(q.raw_len() + q.pending_len() + q.cancelled_backlog(), 0);
+    accepted
 }
 
 fn random_script(rng: &mut SimRng, len: usize, time_span_us: u64) -> Vec<Op> {
     (0..len)
         .map(|_| match rng.range_u64(0, 8) {
-            // Biased toward schedules so queues grow deep enough to
-            // exercise multi-level wheel cascades.
+            // Biased toward schedules so the queue grows deep.
             0..=3 => Op::Schedule(rng.range_u64(0, time_span_us)),
             4..=5 => Op::Pop,
             6 => Op::CancelNth(rng.range_usize(0, 256)),
@@ -37,112 +149,52 @@ fn random_script(rng: &mut SimRng, len: usize, time_span_us: u64) -> Vec<Op> {
         .collect()
 }
 
-/// Replays `script` on the given backend, returning a full transcript of
-/// everything observable.
-fn replay(backend: QueueBackend, script: &[Op]) -> Vec<String> {
-    let mut q = EventQueue::with_backend(backend);
-    let mut handles = Vec::new();
-    let mut payload = 0u64;
-    let mut transcript = Vec::new();
-    for op in script {
-        match *op {
-            Op::Schedule(us) => {
-                handles.push(q.schedule(SimTime::from_micros(us), payload));
-                payload += 1;
-            }
-            Op::Pop => transcript.push(format!("pop {:?}", q.pop())),
-            Op::CancelNth(i) => {
-                if !handles.is_empty() {
-                    let h = handles[i % handles.len()];
-                    transcript.push(format!("cancel {}", q.cancel(h)));
-                }
-            }
-            Op::Peek => transcript.push(format!("peek {:?}", q.peek_time())),
-        }
-    }
-    // Drain whatever is left, then record the final counters.
-    while let Some(ev) = q.pop() {
-        transcript.push(format!("drain {ev:?}"));
-    }
-    transcript.push(format!(
-        "end sched={} fired={} raw={} pending={} cancelled={}",
-        q.total_scheduled(),
-        q.total_fired(),
-        q.raw_len(),
-        q.pending_len(),
-        q.cancelled_backlog()
-    ));
-    transcript
-}
-
-/// 256 seeded random scripts: identical transcripts on both backends.
+/// 256 seeded random scripts over narrow to wide time spans.
 #[test]
 fn random_scripts_pop_bit_identically() {
     for case in 0..256u64 {
         let mut rng = SimRng::new(0x57EE1 ^ case);
         let span = [100u64, 10_000, 10_000_000][case as usize % 3];
         let script = random_script(&mut rng, 400, span);
-        let heap = replay(QueueBackend::BinaryHeap, &script);
-        let wheel = replay(QueueBackend::TimerWheel, &script);
-        assert_eq!(heap, wheel, "case {case} (span {span} µs) diverged");
+        check(&script, &format!("case {case} (span {span} µs)"));
     }
 }
 
-/// Heavy same-timestamp contention: FIFO order must match exactly even
-/// when thousands of events share a handful of instants.
+/// Heavy same-timestamp contention: FIFO order must hold exactly even
+/// when hundreds of events share a handful of instants.
 #[test]
 fn same_timestamp_fifo_matches() {
-    for case in 0..64u64 {
+    for case in 0..32u64 {
         let mut rng = SimRng::new(0xF1F0 ^ case);
-        let script: Vec<Op> = (0..2000)
+        let script: Vec<Op> = (0..1000)
             .map(|_| match rng.range_u64(0, 4) {
                 // Only 4 distinct instants → massive FIFO ties.
                 0..=2 => Op::Schedule(rng.range_u64(0, 4) * 50),
                 _ => Op::Pop,
             })
             .collect();
-        let heap = replay(QueueBackend::BinaryHeap, &script);
-        let wheel = replay(QueueBackend::TimerWheel, &script);
-        assert_eq!(heap, wheel, "case {case} diverged");
+        check(&script, &format!("case {case}"));
     }
 }
 
-/// Cancel-after-fire must be rejected identically: both backends refuse
-/// to cancel a handle whose event already popped, and neither leaks
-/// tombstones for the attempt.
+/// Cancel-after-fire is rejected by both: only handles of events that
+/// have not popped are cancellable, and no tombstone outlives the drain.
 #[test]
 fn cancel_after_fire_rejected_on_both() {
-    for backend in [QueueBackend::BinaryHeap, QueueBackend::TimerWheel] {
-        let mut q = EventQueue::with_backend(backend);
-        let handles: Vec<_> = (0..500)
-            .map(|i| q.schedule(SimTime::from_micros(i % 7), i))
-            .collect();
-        // Fire half the events.
-        for _ in 0..250 {
-            q.pop().unwrap();
-        }
-        let mut accepted = 0;
-        for h in &handles {
-            if q.cancel(*h) {
-                accepted += 1;
-            }
-        }
-        assert_eq!(accepted, 250, "{backend:?}: only live handles cancellable");
-        assert_eq!(q.pop(), None, "{backend:?}: all remaining were cancelled");
-        assert_eq!(q.cancelled_backlog(), 0, "{backend:?}: tombstones leaked");
-        assert_eq!(q.raw_len(), 0, "{backend:?}");
-    }
+    let mut script: Vec<Op> = (0..500).map(|i| Op::Schedule(i % 7)).collect();
+    script.extend((0..250).map(|_| Op::Pop));
+    script.extend((0..500).map(Op::CancelNth));
+    script.push(Op::Pop);
+    assert_eq!(check(&script, "cancel-after-fire"), 250);
 }
 
 /// Past-time scheduling (the driver clamps delivery, the queue does
-/// not): both backends surface a newly scheduled earlier event before
-/// previously scheduled later ones.
+/// not): a newly scheduled earlier event surfaces before previously
+/// scheduled later ones.
 #[test]
 fn past_scheduling_matches() {
     for case in 0..64u64 {
         let mut rng = SimRng::new(0x9A57 ^ case);
-        // Alternate far-future schedules, pops (advancing the wheel
-        // cursor), and schedules into the now-past.
         let script: Vec<Op> = (0..600)
             .map(|i| match i % 5 {
                 0 => Op::Schedule(rng.range_u64(500_000, 1_000_000)),
@@ -151,28 +203,21 @@ fn past_scheduling_matches() {
                 _ => Op::Peek,
             })
             .collect();
-        let heap = replay(QueueBackend::BinaryHeap, &script);
-        let wheel = replay(QueueBackend::TimerWheel, &script);
-        assert_eq!(heap, wheel, "case {case} diverged");
+        check(&script, &format!("case {case}"));
     }
 }
 
-/// Sparse far-apart timestamps force events into high wheel levels and
-/// multi-step cascades; order must still match the reference.
+/// Sparse timestamps spread over ~3 simulated years.
 #[test]
 fn sparse_wide_range_timestamps_match() {
     for case in 0..32u64 {
         let mut rng = SimRng::new(0x1DE5 ^ case);
         let script: Vec<Op> = (0..300)
             .map(|_| match rng.range_u64(0, 3) {
-                // Up to ~3.2 years of simulated nanoseconds: exercises
-                // levels 0 through 9.
                 0 | 1 => Op::Schedule(rng.range_u64(0, 100_000_000_000)),
                 _ => Op::Pop,
             })
             .collect();
-        let heap = replay(QueueBackend::BinaryHeap, &script);
-        let wheel = replay(QueueBackend::TimerWheel, &script);
-        assert_eq!(heap, wheel, "case {case} diverged");
+        check(&script, &format!("case {case}"));
     }
 }

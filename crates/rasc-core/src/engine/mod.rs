@@ -77,11 +77,9 @@ pub struct EngineConfig {
     pub measure_window_secs: f64,
     /// Run length of the split-dispatch striping (see `ChunkedWrr`).
     pub split_chunk: u32,
-    /// Event-queue backend for the simulation core. The two backends are
-    /// bit-for-bit interchangeable (see [`QueueBackend`]); the hierarchical
-    /// timer wheel turns the heap's O(log n) schedule/pop into amortized
-    /// O(1) and is the default. `BinaryHeap` remains available as the
-    /// reference to benchmark against.
+    /// Ignored: the simulation core has one event queue (see
+    /// [`desim::EventQueue`]). The field stays only until the benchmark
+    /// harness stops setting it (ROADMAP item 1e).
     pub queue_backend: QueueBackend,
     /// Data units coalesced into one link transfer and one CPU burst (NIC
     /// interrupt coalescing). `1` reproduces the per-unit data plane
@@ -157,7 +155,7 @@ impl Default for EngineConfig {
             admission_headroom: 0.75,
             measure_window_secs: 4.0,
             split_chunk: 16,
-            queue_backend: QueueBackend::TimerWheel,
+            queue_backend: QueueBackend::BinaryHeap,
             transfer_batch: 1,
             background: None,
             cpu_cores: None,
@@ -321,7 +319,7 @@ impl EngineBuilder {
                 exec_rng: rng.fork(v as u64),
             })
             .collect();
-        let mut queue = EventQueue::with_backend(config.queue_backend);
+        let mut queue = EventQueue::new();
         let auditor = config.audit.then(|| Box::new(Auditor::new()));
         let audit_period = SimDuration::from_secs_f64(config.audit_period_secs.max(0.05));
         let mut state = EngineState {
@@ -685,14 +683,18 @@ impl Engine {
     /// units are lost, and every application with a component on it is
     /// dynamically re-composed on the surviving nodes (applications whose
     /// *endpoints* died cannot be recomposed and simply stop).
+    ///
+    /// This and the other fault calls are no-ops for a node that does not
+    /// exist, and so are [`FaultPlan`] actions naming one.
     pub fn fail_node(&mut self, v: NodeId) {
         let now = self.state.now;
         self.state.handle_fail_node(now, v, &mut self.queue);
     }
 
-    /// Whether node `v` is still alive.
+    /// Whether node `v` is still alive (`false` for a node that does not
+    /// exist).
     pub fn node_alive(&self, v: NodeId) -> bool {
-        self.state.nodes[v].alive
+        self.state.is_alive(v)
     }
 
     /// Per-substream delivery counters of one app:
@@ -713,7 +715,7 @@ impl Engine {
     }
 
     /// Degrades node `v`'s NIC rates to `factor` of pristine *now*
-    /// (see [`FaultAction::Degrade`]).
+    /// (see [`FaultAction::Degrade`]). A NaN factor is ignored.
     pub fn degrade_node(&mut self, v: NodeId, factor: f64) {
         let now = self.state.now;
         self.state.handle_degrade(now, v, factor, &mut self.queue);
@@ -727,8 +729,19 @@ impl Engine {
 
     /// Sets node `v`'s control-message loss probability *now* (sticky
     /// until changed; [`FaultAction::MessageLoss`] windows self-expire).
+    /// A NaN probability is ignored.
     pub fn set_message_loss(&mut self, v: NodeId, prob: f64) {
-        self.state.loss_prob[v] = prob.clamp(0.0, 1.0);
+        if let Some(p) = self.state.loss_prob.get_mut(v) {
+            if !prob.is_nan() {
+                *p = prob.clamp(0.0, 1.0);
+            }
+        }
+    }
+
+    /// Events the simulation has delivered so far (a work count: per
+    /// delivered unit it measures what the data plane costs).
+    pub fn events_fired(&self) -> u64 {
+        self.queue.total_fired()
     }
 
     /// Control-plane messages lost to injected message-loss windows.
@@ -867,7 +880,7 @@ impl EngineState {
         // A crashed (or nonexistent) source cannot route its discovery
         // lookups and nothing can be delivered to a crashed sink.
         for v in [req.source, req.destination] {
-            if !self.nodes.get(v).is_some_and(|n| n.alive) {
+            if !self.is_alive(v) {
                 return Err(ComposeError::EndpointDown(v));
             }
         }
@@ -1785,7 +1798,7 @@ impl EngineState {
     /// dynamically" under churn; the overlay's §3.3 failure handling
     /// keeps discovery working).
     fn handle_fail_node(&mut self, now: SimTime, v: NodeId, q: &mut EventQueue<Event>) {
-        if !self.nodes[v].alive {
+        if !self.is_alive(v) {
             return;
         }
         if let Some(tr) = &mut self.trace {
@@ -1992,24 +2005,37 @@ impl EngineState {
                 factor,
                 duration,
             } => {
-                if self.nodes[node].alive {
+                if self.is_alive(node) {
                     self.net.set_latency_factor(node, factor.max(1.0));
                     q.schedule(now + duration, Event::Fault(FaultAction::LatencyCalm(node)));
                 }
             }
-            FaultAction::LatencyCalm(v) => self.net.set_latency_factor(v, 1.0),
+            FaultAction::LatencyCalm(v) => {
+                if v < self.nodes.len() {
+                    self.net.set_latency_factor(v, 1.0);
+                }
+            }
             FaultAction::MessageLoss {
                 node,
                 prob,
                 duration,
             } => {
-                if self.nodes[node].alive {
+                if self.is_alive(node) && !prob.is_nan() {
                     self.loss_prob[node] = prob.clamp(0.0, 1.0);
                     q.schedule(now + duration, Event::Fault(FaultAction::LossCalm(node)));
                 }
             }
-            FaultAction::LossCalm(v) => self.loss_prob[v] = 0.0,
+            FaultAction::LossCalm(v) => {
+                if let Some(p) = self.loss_prob.get_mut(v) {
+                    *p = 0.0;
+                }
+            }
         }
+    }
+
+    /// Whether `v` names a live node; `false` for one that does not exist.
+    fn is_alive(&self, v: NodeId) -> bool {
+        self.nodes.get(v).is_some_and(|n| n.alive)
     }
 
     /// Degrades a node's NIC rates to `factor` of pristine. If the
@@ -2020,7 +2046,8 @@ impl EngineState {
     /// crash-stop. Within the admission bound the commitments still fit
     /// and the applications ride out the slowdown in place.
     fn handle_degrade(&mut self, now: SimTime, v: NodeId, factor: f64, q: &mut EventQueue<Event>) {
-        if !self.nodes[v].alive {
+        // `clamp` passes NaN through, and the NIC refuses a NaN rate.
+        if !self.is_alive(v) || factor.is_nan() {
             return;
         }
         let f = factor.clamp(0.05, 1.0);
@@ -2040,7 +2067,7 @@ impl EngineState {
 
     /// Restores a degraded node's pristine NIC rates.
     fn handle_restore(&mut self, now: SimTime, v: NodeId) {
-        if !self.nodes[v].alive {
+        if !self.is_alive(v) {
             return;
         }
         let base = self.base_specs[v];

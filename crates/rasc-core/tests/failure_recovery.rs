@@ -230,3 +230,81 @@ fn crashed_endpoints_are_refused_with_a_typed_error() {
     assert_eq!(t.rejected, 0);
     assert!(e.audit_report().is_none_or(|a| a.clean()));
 }
+
+/// Hostile fault calls — a node index past the end of the overlay, a NaN
+/// degradation factor or loss probability — are no-ops, whether made
+/// directly or scheduled as fault-plan actions: the engine that received
+/// them ends with the same digest as a twin that never did. The twin's
+/// plan carries as many do-nothing actions at the same instants, so both
+/// queues schedule and fire the same number of events.
+#[test]
+fn hostile_fault_calls_are_no_ops() {
+    use rasc_core::engine::{FaultAction, FaultEvent, FaultPlan};
+    let (mut e, mut twin) = (engine(), engine());
+    for x in [&mut e, &mut twin] {
+        x.submit(ServiceRequest::chain(&[0, 1], 12.0, 6, 7))
+            .unwrap();
+        x.run_for_secs(2.0);
+    }
+    for v in [8, 99, usize::MAX] {
+        e.fail_node(v);
+        e.degrade_node(v, 0.5);
+        e.restore_node(v);
+        e.set_message_loss(v, 0.5);
+        assert!(!e.node_alive(v));
+    }
+    e.degrade_node(0, f64::NAN);
+    e.set_message_loss(0, f64::NAN);
+
+    let spike = SimDuration::from_millis(300);
+    let hostile = [
+        FaultAction::Crash(99),
+        FaultAction::Degrade {
+            node: 99,
+            factor: 0.5,
+        },
+        FaultAction::Degrade {
+            node: 0,
+            factor: f64::NAN,
+        },
+        FaultAction::Restore(usize::MAX),
+        FaultAction::LatencySpike {
+            node: 99,
+            factor: 3.0,
+            duration: spike,
+        },
+        FaultAction::LatencyCalm(99),
+        FaultAction::MessageLoss {
+            node: 99,
+            prob: 0.5,
+            duration: spike,
+        },
+        FaultAction::MessageLoss {
+            node: 0,
+            prob: f64::NAN,
+            duration: spike,
+        },
+        FaultAction::LossCalm(99),
+    ];
+    let start = e.now();
+    let plan = |actions: Vec<FaultAction>| FaultPlan {
+        events: actions
+            .into_iter()
+            .enumerate()
+            .map(|(i, action)| FaultEvent {
+                at: start + SimDuration::from_millis(100 * (i as u64 + 1)),
+                action,
+            })
+            .collect(),
+    };
+    e.schedule_fault_plan(&plan(hostile.to_vec()));
+    // Lifting a loss window from a node that has none changes nothing.
+    twin.schedule_fault_plan(&plan(vec![FaultAction::LossCalm(0); hostile.len()]));
+
+    for x in [&mut e, &mut twin] {
+        x.run_for_secs(3.0);
+        assert!(x.finish_run().clean());
+    }
+    assert!(e.report().delivered > 0);
+    assert_eq!(e.run_digest(), twin.run_digest());
+}

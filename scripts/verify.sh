@@ -19,11 +19,14 @@ cargo clippy --all-targets -- -D warnings
 # checks on.
 RASC_AUDIT=1 cargo test -q -p rasc-core -p workload
 
-# Event-queue backend equivalence: the timer-wheel backend must pop
-# bit-for-bit the same (time, seq) order as the binary-heap reference
-# across seeded randomized schedules. Part of the workspace suite, but
-# named here so a backend change can never slip past verification.
-cargo test -q -p desim --test queue_equivalence
+# Event-queue equivalence: the slab-backed heap must match a linear-scan
+# reference queue step by step (pops in exact (time, seq) order, cancel
+# verdicts including stale handles whose slot was reused, peeks, and all
+# five counters) across seeded randomized schedules, and the ABA and
+# cancel/reschedule-storm cases must drain to zero. Part of the
+# workspace suite, but named here so a queue change can never slip past
+# verification.
+cargo test -q -p desim --test queue_equivalence --test cancel_liveness
 
 # Warm-basis repair equivalence: randomized arc-deletion / capacity-cut /
 # cost-bump / node-removal events repaired on the retained simplex basis
@@ -75,6 +78,11 @@ cargo test -q -p overlay --test membership_equivalence
 # (ratios are bigger-is-better, so the comparison is inverted like
 # units/s), prints a WARNING — quick-mode runs are noisy and machines
 # differ, so this is a tripwire for accidental regressions, not a gate.
+# Two further WARNINGs keep the data-plane rows honest: a
+# dataplane/units_per_sec or dataplane/events_per_unit row with no
+# committed counterpart (a renamed row would otherwise go unchecked),
+# and an events/unit count that differs from the committed one at all
+# (those counts are exact, so any change is a change in event structure).
 #
 # Parallel-scaling entries are excluded on serial machines: a committed
 # entry annotated "ap1" was itself measured on a 1-core box (pool
@@ -129,6 +137,13 @@ if [ -f BENCH_compose.json ]; then
         printf "verify: WARNING %s slowed to %.2fx of committed (%.0f -> %.0f units/s)\n", \
             $1, $2 / base[$1], base[$1], $2
     }
+    $1 ~ /^dataplane\/(units_per_sec|events_per_unit)\// && !($1 in base) {
+      printf "verify: WARNING %s has no committed row to compare with\n", $1
+    }
+    $3 == "events/unit" && ($1 in base) && $2 + 0 != base[$1] {
+      printf "verify: WARNING %s moved from committed %.2f to %.2f (an exact count)\n", \
+          $1, base[$1], $2
+    }
     # (admission/select_sublinearity is deliberately not diffed: a
     # ratio of two 3-sample quick-mode timings is too noisy to compare
     # against the committed full-run value without false positives.)
@@ -141,13 +156,12 @@ if [ -f BENCH_compose.json ]; then
 fi
 rm -f "$BENCH_OUT"
 
-# Audited fault-injection soak: 180 seeded runs across fault profiles,
-# composers, and data-plane variants (binary-heap and timer-wheel
-# backends, per-unit and batched transfers); exits non-zero on any
-# invariant violation, a serial-vs-parallel digest mismatch, or any
-# per-cell digest that differs between batch-1 backends. RASC_AUDIT=1
-# is redundant belt-and-braces (the soak forces auditing on) but keeps
-# the env-driven default covered too. Takes well under 30 s.
+# Audited fault-injection soak: 120 seeded runs across fault profiles,
+# composers, and transfer batch sizes (per-unit and batch-8); exits
+# non-zero on any invariant violation or a serial-vs-parallel digest
+# mismatch. RASC_AUDIT=1 is redundant belt-and-braces (the soak forces
+# auditing on) but keeps the env-driven default covered too. Takes well
+# under 30 s.
 RASC_AUDIT=1 cargo run --release -q --bin repro -- chaos --quick
 
 echo "verify: all checks passed"
