@@ -469,7 +469,8 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
     // Engine-level generated-units-per-wall-second per transfer batch
     // size. These entries are rates (bigger is better); verify.sh
     // inverts its regression tripwire for the `units/s` unit. The
-    // events-per-unit counts are exact and independent of `quick`.
+    // events-per-unit and meter-entry counts are exact and independent
+    // of `quick`.
     if want("dataplane") {
         use rasc_bench::dataplane;
         let horizon = if quick { 0.5 } else { 2.0 };
@@ -479,7 +480,7 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
             }
         }
         for variant in dataplane::VARIANTS {
-            results.push(dataplane::events_per_unit(48, variant));
+            results.extend(dataplane::work_counts(48, variant));
         }
         // Steady-state allocation gate for the batched data plane: after
         // warm-up the SoA store, batch pool, and event queue must recycle.

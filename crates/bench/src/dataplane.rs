@@ -16,7 +16,10 @@
 //!   over [`SAMPLES`] consecutive horizons of one warmed engine,
 //! * `dataplane/events_per_unit/<variant>/48` — queue events delivered
 //!   per delivered unit over a fixed horizon: an exact work count that
-//!   moves only when the data plane's event structure does.
+//!   moves only when the data plane's event structure does,
+//! * `dataplane/meter_entries/<variant>/48` — throughput-meter entries
+//!   held at the end of that horizon: the exact size of the monitoring
+//!   state.
 //!
 //! Apps are pinned one-per-provider (each app's service is offered by
 //! exactly one node), so the pipeline shape is identical across
@@ -138,23 +141,29 @@ pub fn throughput(apps: usize, variant: DataplaneVariant, horizon_secs: f64) -> 
     }
 }
 
-/// Queue events delivered per delivered unit from build through one
-/// simulated second past warm-up, as
-/// `dataplane/events_per_unit/<variant>/<apps>`; `iters` carries the
-/// exact event count. Deterministic: it depends only on the engine's
-/// event structure.
-pub fn events_per_unit(apps: usize, variant: DataplaneVariant) -> Measurement {
+/// Two exact work counts from build through one simulated second past
+/// warm-up: queue events delivered per delivered unit, as
+/// `dataplane/events_per_unit/<variant>/<apps>` (`iters` carries the
+/// exact event count), and the entries every node's throughput meters
+/// hold at the end of that horizon, as
+/// `dataplane/meter_entries/<variant>/<apps>`. Deterministic: they
+/// depend only on the engine's event structure and monitor state.
+pub fn work_counts(apps: usize, variant: DataplaneVariant) -> [Measurement; 2] {
     let mut e = warmed_engine(apps, variant);
     e.run_for_secs(1.0);
     let fired = e.events_fired();
-    Measurement {
-        iters: fired,
-        ..record_value(
-            &format!("dataplane/events_per_unit/{}/{apps}", variant.label),
-            fired as f64 / e.report().delivered as f64,
-            "events/unit",
-        )
-    }
+    let row = |family: &str| format!("dataplane/{family}/{}/{apps}", variant.label);
+    [
+        Measurement {
+            iters: fired,
+            ..record_value(
+                &row("events_per_unit"),
+                fired as f64 / e.report().delivered as f64,
+                "events/unit",
+            )
+        },
+        record_value(&row("meter_entries"), e.meter_entries() as f64, "entries"),
+    ]
 }
 
 /// Heap allocations during one simulated second of steady-state traffic
@@ -227,9 +236,13 @@ mod tests {
     #[test]
     fn events_per_unit_is_exact_and_batching_cuts_it() {
         let [perunit, batch32] = VARIANTS;
-        let a = events_per_unit(2, perunit);
+        let [a, meters] = work_counts(2, perunit);
         assert_eq!(a.name, "dataplane/events_per_unit/perunit/2");
-        assert_eq!(a.value, events_per_unit(2, perunit).value);
-        assert!(events_per_unit(2, batch32).value < a.value / 4.0);
+        assert_eq!(meters.name, "dataplane/meter_entries/perunit/2");
+        let [again, meters_again] = work_counts(2, perunit);
+        assert_eq!(a.value, again.value);
+        assert_eq!(meters.value, meters_again.value);
+        assert!(meters.value > 0.0);
+        assert!(work_counts(2, batch32)[0].value < a.value / 4.0);
     }
 }

@@ -7,6 +7,9 @@
 //!
 //! * [`RateEstimator`] — arrival/departure rates of data units, from which
 //!   a component's period `p_ci` and a node's consumed bandwidth follow,
+//! * [`ThroughputMeter`] — bits/second over a sliding time window, the
+//!   measured in/out traffic (and CPU busy time) that availability is
+//!   computed from; it holds one entry per distinct instant,
 //! * [`OutcomeWindow`] — the fraction of data units recently dropped
 //!   (`drops_n(ci)` in the paper), the cost signal of the min-cost solve,
 //! * [`WindowStats`] / [`Ewma`] / [`Welford`] — running-time statistics

@@ -3,8 +3,12 @@
 //! The paper's nodes compute their available input/output bandwidth "by
 //! continuously monitoring the rates of incoming and outgoing data
 //! units" (§3.2) — availability is *measured*, not tracked in a ledger.
-//! A [`ThroughputMeter`] holds the (timestamp, bits) pairs of the recent
-//! window and reports their rate.
+//! A [`ThroughputMeter`] holds one (timestamp, bits) entry per distinct
+//! instant of the recent window and reports their rate. Records that
+//! share an instant are summed into one entry: they would be evicted
+//! together anyway, so the rate is the same integer sum, while a burst
+//! of same-instant records (a statistics pull fan-out, a batch of units)
+//! costs one entry instead of one per record.
 
 use desim::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -30,13 +34,19 @@ impl ThroughputMeter {
         }
     }
 
-    /// Records `bits` of traffic at time `now` (non-decreasing).
+    /// Records `bits` of traffic at time `now` (non-decreasing). A record
+    /// at the back entry's instant adds to it; a zero-bit record stores
+    /// nothing.
     pub fn record(&mut self, now: SimTime, bits: u64) {
         debug_assert!(
             self.events.back().is_none_or(|&(t, _)| now >= t),
             "timestamps must be monotone"
         );
-        self.events.push_back((now, bits));
+        match self.events.back_mut() {
+            Some((t, b)) if *t == now => *b += bits,
+            _ if bits > 0 => self.events.push_back((now, bits)),
+            _ => {}
+        }
         self.bits_in_window += bits;
         self.total_bits += bits;
         self.evict(now);
@@ -51,6 +61,17 @@ impl ThroughputMeter {
     /// Lifetime bits recorded.
     pub fn total_bits(&self) -> u64 {
         self.total_bits
+    }
+
+    /// Number of entries currently held: at most one per distinct
+    /// instant still in the window as of the last `record` or `rate`.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// True when no entry is held.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
     }
 
     fn evict(&mut self, now: SimTime) {
@@ -110,6 +131,35 @@ mod tests {
         m.record(t(3000), 200_000);
         // Only the second event is in the window at t=3s.
         assert!((m.rate(t(3000)) - 100_000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn same_instant_records_share_one_entry() {
+        let mut m = ThroughputMeter::new(SimDuration::from_secs(1));
+        for _ in 0..1000 {
+            m.record(t(100), 8);
+        }
+        assert_eq!(m.len(), 1);
+        m.record(t(200), 8);
+        m.record(t(200), 8);
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.total_bits(), 8_016);
+        assert!((m.rate(t(1099)) - 8_016.0).abs() < 1e-9);
+        // The merged entry ages out as one: only t=200's 16 bits remain.
+        assert!((m.rate(t(1100)) - 16.0).abs() < 1e-9);
+        assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn zero_bit_record_stores_nothing() {
+        let mut m = ThroughputMeter::new(SimDuration::from_secs(1));
+        m.record(t(0), 0);
+        assert!(m.is_empty());
+        m.record(t(10), 500);
+        m.record(t(20), 0);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.total_bits(), 500);
+        assert!((m.rate(t(20)) - 500.0).abs() < 1e-9);
     }
 
     #[test]

@@ -57,32 +57,65 @@ fn rate_estimator_matches_formula() {
     }
 }
 
-/// ThroughputMeter equals a naive sum over the half-open window.
+/// ThroughputMeter equals a naive sum over the half-open window, read
+/// at monotone times between records, and holds exactly one entry per
+/// distinct instant with traffic in the window. Half the cases draw
+/// timestamps from a range of a few milliseconds, so most records share
+/// an instant with another; some records carry zero bits.
 #[test]
 fn throughput_meter_matches_naive() {
     let mut rng = SimRng::new(0x7412);
-    for case in 0..256u32 {
-        let window_ms = rng.range_u64(10, 5_000);
-        let len = rng.range_usize(1, 80);
+    for case in 0..512u32 {
+        let window_ms = rng.range_u64(1, 5_000);
+        let span = if case % 2 == 0 {
+            rng.range_u64(1, 8)
+        } else {
+            10_000
+        };
+        let len = rng.range_usize(1, 120);
         let mut sorted: Vec<(u64, u64)> = (0..len)
-            .map(|_| (rng.range_u64(0, 10_000), rng.range_u64(1, 100_000)))
+            .map(|_| {
+                let bits = if rng.chance(0.1) {
+                    0
+                } else {
+                    rng.range_u64(1, 100_000)
+                };
+                (rng.range_u64(0, span), bits)
+            })
             .collect();
         sorted.sort_by_key(|&(t, _)| t);
         let mut m = ThroughputMeter::new(SimDuration::from_millis(window_ms));
-        for &(t, bits) in &sorted {
+        let check = |m: &mut ThroughputMeter, seen: &[(u64, u64)], now: u64| {
+            let in_window = |&&(t, _): &&(u64, u64)| now - t < window_ms;
+            let naive: u64 = seen.iter().filter(in_window).map(|&(_, b)| b).sum();
+            let expect = naive as f64 / (window_ms as f64 / 1000.0);
+            assert!(
+                (m.rate(SimTime::from_millis(now)) - expect).abs() < 1e-6,
+                "case {case} at {now} ms"
+            );
+            let mut instants: Vec<u64> = seen
+                .iter()
+                .filter(in_window)
+                .filter(|&&(_, b)| b > 0)
+                .map(|&(t, _)| t)
+                .collect();
+            instants.dedup();
+            assert_eq!(m.len(), instants.len(), "case {case} at {now} ms");
+            let total: u64 = seen.iter().map(|&(_, b)| b).sum();
+            assert_eq!(m.total_bits(), total, "case {case}");
+        };
+        let mut now = 0;
+        for (i, &(t, bits)) in sorted.iter().enumerate() {
             m.record(SimTime::from_millis(t), bits);
+            now = t;
+            if rng.chance(0.3) {
+                // A read anywhere up to the next record keeps time monotone.
+                let next = sorted.get(i + 1).map_or(t + 2 * window_ms, |&(n, _)| n);
+                now = rng.range_u64(t, next + 1);
+                check(&mut m, &sorted[..=i], now);
+            }
         }
-        let now = sorted.last().unwrap().0;
-        let naive: u64 = sorted
-            .iter()
-            .filter(|&&(t, _)| now - t < window_ms)
-            .map(|&(_, b)| b)
-            .sum();
-        let expect = naive as f64 / (window_ms as f64 / 1000.0);
-        assert!(
-            (m.rate(SimTime::from_millis(now)) - expect).abs() < 1e-6,
-            "case {case}"
-        );
+        check(&mut m, &sorted, now);
     }
 }
 

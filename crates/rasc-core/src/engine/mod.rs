@@ -313,7 +313,7 @@ impl EngineBuilder {
                 committed_out: 0.0,
                 alive: true,
                 bg_load: None,
-                cpu_meter: ThroughputMeter::new(meter_window),
+                cpu_meter: config.cpu_cores.map(|_| ThroughputMeter::new(meter_window)),
                 committed_cpu: 0.0,
                 comps: FxHashMap::default(),
                 exec_rng: rng.fork(v as u64),
@@ -417,8 +417,9 @@ struct NodeState {
     /// Cross-traffic state: `Some(load)` while an ON phase is active.
     bg_load: Option<f64>,
     /// Measured CPU busy time (the meter's "bits" are busy nanoseconds;
-    /// its rate is therefore cores in use).
-    cpu_meter: ThroughputMeter,
+    /// its rate is therefore cores in use). Only `measured_view` reads
+    /// it, and only under `config.cpu_cores`, so it exists only then.
+    cpu_meter: Option<ThroughputMeter>,
     /// Committed CPU of everything composed onto this node (cores).
     committed_cpu: f64,
     comps: FxHashMap<CompKey, CompState>,
@@ -742,6 +743,18 @@ impl Engine {
     /// delivered unit it measures what the data plane costs).
     pub fn events_fired(&self) -> u64 {
         self.queue.total_fired()
+    }
+
+    /// Entries held right now across every node's throughput meters: the
+    /// exact size of the monitoring state §3.2's sliding windows keep.
+    pub fn meter_entries(&self) -> usize {
+        self.state
+            .nodes
+            .iter()
+            .map(|n| {
+                n.in_meter.len() + n.out_meter.len() + n.cpu_meter.as_ref().map_or(0, |m| m.len())
+            })
+            .sum()
     }
 
     /// Control-plane messages lost to injected message-loss windows.
@@ -1310,7 +1323,11 @@ impl EngineState {
         if let Some(cores) = self.config.cpu_cores {
             for v in 0..n {
                 view.set_cpu_capacity(v, cores * self.config.admission_headroom);
-                let measured = self.nodes[v].cpu_meter.rate(now) / 1e9;
+                let measured = self.nodes[v]
+                    .cpu_meter
+                    .as_mut()
+                    .map_or(0.0, |m| m.rate(now))
+                    / 1e9;
                 let used = measured.max(self.nodes[v].committed_cpu);
                 view.consume_measured_cpu(v, used);
             }
@@ -2180,7 +2197,9 @@ impl EngineState {
         let mut open: Option<(NodeId, BatchRef)> = None;
         for &(u, exec) in &finished {
             self.nodes[node].outcomes.record(false);
-            self.nodes[node].cpu_meter.record(now, exec.as_nanos());
+            if let Some(m) = &mut self.nodes[node].cpu_meter {
+                m.record(now, exec.as_nanos());
+            }
             // Update the running-time estimate and pick the next hop.
             let app = self.store.app(u);
             let substream = self.store.substream(u);
@@ -2339,6 +2358,17 @@ mod tests {
         let busy2 = engine.state.nodes[2].in_meter.total_bits();
         assert!(busy0 > 0, "flaky node never saw cross traffic");
         assert_eq!(busy2, 0, "non-flaky node saw cross traffic");
+    }
+
+    #[test]
+    fn cpu_meter_exists_only_under_cpu_admission() {
+        let blind = tiny_engine(EngineConfig::default());
+        assert!(blind.state.nodes.iter().all(|n| n.cpu_meter.is_none()));
+        let aware = tiny_engine(EngineConfig {
+            cpu_cores: Some(1.0),
+            ..Default::default()
+        });
+        assert!(aware.state.nodes.iter().all(|n| n.cpu_meter.is_some()));
     }
 
     #[test]

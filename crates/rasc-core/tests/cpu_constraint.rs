@@ -141,3 +141,24 @@ fn cpu_capacity_releases_on_teardown() {
         .expect("CPU not released on teardown");
     let _ = kbps(1.0);
 }
+
+#[test]
+fn cpu_meter_holds_admission_until_the_window_drains() {
+    // A 25 du/s app (1.0 of the 1.5 admittable cores) runs for 4 s and
+    // is torn down, releasing its committed CPU at once. The 4 s CPU
+    // meter still reads ~0.75 cores a second later, so the identical
+    // request is refused on the measurement alone…
+    let mut e = engine(Some(1.0));
+    let short = ServiceRequest::chain(&[0], 25.0, 0, 3).with_lifetime(SimDuration::from_secs(4));
+    e.submit(short).unwrap();
+    e.run_for_secs(5.0);
+    assert_eq!(e.report().composed, 1);
+    assert!(
+        e.submit(ServiceRequest::chain(&[0], 25.0, 0, 3)).is_err(),
+        "admitted against a CPU meter that still reads the departed app"
+    );
+    // …and admitted once the window has slid past the app's last unit.
+    e.run_for_secs(5.0);
+    e.submit(ServiceRequest::chain(&[0], 25.0, 0, 3))
+        .expect("CPU meter did not drain");
+}

@@ -64,6 +64,24 @@ cargo test -q -p rasc-core --test shard_equivalence --test shard_rollback
 # verification.
 cargo test -q -p overlay --test membership_equivalence
 
+# Monitor window equivalence: the throughput meter, which keeps one
+# entry per distinct instant and sums same-instant records into it,
+# must read the same rate and lifetime total as a naive sum over every
+# record in the half-open window, at reads interleaved between records,
+# over seeded schedules where most records share an instant and some
+# carry zero bits; it must hold exactly one entry per such instant. The
+# outcome window, rate estimator and Welford accumulator are checked
+# against recounts in the same file. Named so a change to coalescing or
+# eviction can never slip past verification.
+cargo test -q -p monitor --test randomized_windows
+
+# CPU admission: with cpu_cores set, composition must respect the CPU
+# dimension (reject, split, release on teardown), and the CPU meter the
+# engine builds only in that case must still hold admission after a
+# CPU-heavy app departs until its 4 s window drains. Named so gating or
+# removing the CPU meter can never slip past verification.
+cargo test -q -p rasc-core --test cpu_constraint
+
 # Microbenchmark smoke run: small fixed-seed iterations; exercises the
 # compose/solver hot paths, the data plane, and the batch-admission
 # pipeline (including the steady-state allocation asserts) without
@@ -79,10 +97,11 @@ cargo test -q -p overlay --test membership_equivalence
 # units/s), prints a WARNING — quick-mode runs are noisy and machines
 # differ, so this is a tripwire for accidental regressions, not a gate.
 # Two further WARNINGs keep the data-plane rows honest: a
-# dataplane/units_per_sec or dataplane/events_per_unit row with no
+# dataplane/units_per_sec, events_per_unit or meter_entries row with no
 # committed counterpart (a renamed row would otherwise go unchecked),
-# and an events/unit count that differs from the committed one at all
-# (those counts are exact, so any change is a change in event structure).
+# and an events/unit or meter-entry count that differs from the
+# committed one at all (those counts are exact, so any change is a
+# change in event structure or in the monitoring state).
 #
 # Parallel-scaling entries are excluded on serial machines: a committed
 # entry annotated "ap1" was itself measured on a 1-core box (pool
@@ -137,10 +156,10 @@ if [ -f BENCH_compose.json ]; then
         printf "verify: WARNING %s slowed to %.2fx of committed (%.0f -> %.0f units/s)\n", \
             $1, $2 / base[$1], base[$1], $2
     }
-    $1 ~ /^dataplane\/(units_per_sec|events_per_unit)\// && !($1 in base) {
+    $1 ~ /^dataplane\/(units_per_sec|events_per_unit|meter_entries)\// && !($1 in base) {
       printf "verify: WARNING %s has no committed row to compare with\n", $1
     }
-    $3 == "events/unit" && ($1 in base) && $2 + 0 != base[$1] {
+    ($3 == "events/unit" || $3 == "entries") && ($1 in base) && $2 + 0 != base[$1] {
       printf "verify: WARNING %s moved from committed %.2f to %.2f (an exact count)\n", \
           $1, base[$1], $2
     }
