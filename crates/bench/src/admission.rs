@@ -24,14 +24,19 @@
 //! multi-worker pool — on a single-core box it measures pool overhead,
 //! not scaling, and is annotated accordingly (see
 //! [`Measurement::note`](crate::microbench::Measurement)).
+//!
+//! [`serial_work_counts`] adds two exact counts of the engine's own
+//! serial submit path: heap allocations per submit and retained repair
+//! bytes per admitted app.
 
-use crate::microbench::{count_allocations, record_rate, Measurement};
+use crate::microbench::{count_allocations, record_rate, record_value, Measurement};
 use desim::SimRng;
 use overlay::RegionMap;
 use rasc_core::compose::{
     BatchAdmitter, BatchItem, ComposeError, Composer, LatencyMatrix, MinCostComposer, ProviderMap,
     ShardedAdmitter,
 };
+use rasc_core::engine::{Engine, EngineConfig};
 use rasc_core::model::{ServiceCatalog, ServiceRequest};
 use rasc_core::view::SystemView;
 use simnet::Topology;
@@ -326,9 +331,10 @@ pub fn sharded_saturation(
 /// (rasc_core::model::ExecutionGraph) — but snapshot handling is
 /// allocation-free, because both this function's per-burst view and the
 /// admitter's pooled worker views re-sync via `SystemView::clone_from`,
-/// which reuses every heap buffer. The gate in `repro bench` catches a
-/// regression to per-request snapshot clones or arena rebuilds, which
-/// cost thousands of allocations each at thousand-node scale.
+/// which reuses every heap buffer, and resource vectors are inline, so
+/// reservations and rate checks allocate nothing either. The gate in
+/// `repro bench` catches a regression to per-request snapshot clones,
+/// arena rebuilds or heap-backed per-node state.
 pub fn steady_state_allocs_per_request(sc: &AdmissionScenario, batch: usize) -> f64 {
     let admitter = admitter(sc, 1);
     let chunk = &sc.items[..batch.min(sc.items.len())];
@@ -348,6 +354,70 @@ pub fn steady_state_allocs_per_request(sc: &AdmissionScenario, batch: usize) -> 
         }
     });
     allocs as f64 / (rounds * chunk.len() as u64) as f64
+}
+
+/// Requests one serial-path count run submits.
+const SERIAL_SUBMITS: usize = 64;
+
+/// Exact work counts of the engine's serial admission path, on an
+/// `n`-node [`Topology::power_law`] engine with the default
+/// configuration (uncapped candidates, repair state retained), offers at
+/// [`PROVIDER_DENSITY`] and [`SERIAL_SUBMITS`] distinct 3-stage chains
+/// submitted one [`Engine::submit`](rasc_core::engine::Engine::submit)
+/// at a time:
+///
+/// * `admission/allocs_per_submit/<n>` — the median heap allocations of
+///   one submit (min and max alongside); meaningful only under the
+///   counting allocator `repro` installs;
+/// * `adapt/retained_bytes_per_app/<n>` — the bytes of repair state the
+///   composer retains per admitted app
+///   ([`Engine::retained_bytes`](rasc_core::engine::Engine::retained_bytes)).
+///
+/// Both are deterministic: no simulated time passes, and every input is
+/// seeded.
+pub fn serial_work_counts(n: usize) -> [Measurement; 2] {
+    let seed = 42;
+    let topology = Topology::power_law(n, simnet::kbps(300.0), simnet::kbps(3000.0), seed);
+    let mut rng = SimRng::new(seed ^ 0x5E41_A105);
+    let mut offers = vec![Vec::new(); n];
+    for s in 0..SERVICES {
+        for h in rng.sample_indices(n, (n / PROVIDER_DENSITY).max(16)) {
+            offers[h].push(s);
+        }
+    }
+    let mut engine = Engine::builder(n, ServiceCatalog::synthetic(SERVICES, seed), seed)
+        .topology(topology)
+        .offers(offers)
+        .config(EngineConfig::default())
+        .build();
+    let mut admitted = 0usize;
+    let mut allocs: Vec<f64> = (0..SERIAL_SUBMITS)
+        .map(|i| {
+            let chain = [i % SERVICES, (i + 3) % SERVICES, (i + 7) % SERVICES];
+            let req = ServiceRequest::chain(&chain, 6.0, (i * 2) % n, (i * 2 + 1) % n);
+            let mut ok = false;
+            let count = count_allocations(|| ok = engine.submit(req).is_ok());
+            admitted += usize::from(ok);
+            count as f64
+        })
+        .collect();
+    allocs.sort_by(f64::total_cmp);
+    let allocs_row = Measurement {
+        min: allocs[0],
+        max: allocs[SERIAL_SUBMITS - 1],
+        iters: SERIAL_SUBMITS as u64,
+        ..record_value(
+            &format!("admission/allocs_per_submit/{n}"),
+            allocs[SERIAL_SUBMITS / 2],
+            "allocs",
+        )
+    };
+    let bytes_row = record_value(
+        &format!("adapt/retained_bytes_per_app/{n}"),
+        (engine.retained_bytes() / admitted.max(1)) as f64,
+        "bytes",
+    );
+    [allocs_row, bytes_row]
 }
 
 /// Sanity probe used by tests and the bench preamble: one batch through
@@ -419,6 +489,16 @@ mod tests {
             "cross-shard count exceeds admissions"
         );
         eprintln!("saturation: {acc:?}");
+    }
+
+    #[test]
+    fn serial_work_counts_name_their_rows_and_retain_state() {
+        let [allocs, bytes] = serial_work_counts(256);
+        assert_eq!(allocs.name, "admission/allocs_per_submit/256");
+        assert_eq!(allocs.iters, SERIAL_SUBMITS as u64);
+        assert_eq!(bytes.name, "adapt/retained_bytes_per_app/256");
+        assert!(bytes.value > 0.0, "default engine retains repair state");
+        assert_eq!(bytes.value, serial_work_counts(256)[1].value);
     }
 
     #[test]

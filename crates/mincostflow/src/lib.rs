@@ -72,6 +72,11 @@ pub use repair::{RepairOutcome, RepairTier};
 pub use simplex::{NetworkSimplex, SimplexBasis};
 pub use ssp::{SspSolver, SspVariant};
 
+/// Heap bytes behind a vector: `capacity × size_of::<T>()`.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
 /// Outcome of a successful min-cost flow solve.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Solution {
@@ -153,6 +158,30 @@ impl FlowSolver {
     /// The algorithm this solver dispatches to.
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
+    }
+
+    /// A copy holding only what the repair ladder reads: the algorithm,
+    /// the final potentials of the last solve (the phased tier's warm
+    /// start) and, when it is valid, the simplex basis (the warm-basis
+    /// tier). Scratch buffers and the warm-start snapshot for the next
+    /// solve are left empty; a repair regrows the buffers it needs.
+    /// Every repair entry point behaves exactly as on a `clone()`.
+    pub fn clone_for_repair(&self) -> FlowSolver {
+        FlowSolver {
+            algorithm: self.algorithm,
+            ssp: self.ssp.clone_potentials(),
+            basis: if self.basis.is_valid() {
+                self.basis.clone()
+            } else {
+                SimplexBasis::default()
+            },
+        }
+    }
+
+    /// Heap bytes of the potential vectors this solver holds (the SSP
+    /// potentials and the simplex basis's), `capacity × size_of`.
+    pub fn potential_bytes(&self) -> usize {
+        vec_bytes(&self.ssp.pot) + vec_bytes(&self.basis.pi)
     }
 
     /// Drops the warm-start potential snapshot (buffers stay allocated).

@@ -15,6 +15,8 @@
 //! so a caller solving many similarly sized instances (one layered graph
 //! per substream) reuses one network as an arena.
 
+use crate::vec_bytes;
+
 /// Index of a node in a [`FlowNetwork`].
 pub type NodeId = usize;
 
@@ -114,6 +116,36 @@ impl FlowNetwork {
         self.csr_dirty = true;
         self.neg_edges = 0;
         self.flow_dirty = false;
+    }
+
+    /// Copies the arc table and the edge bookkeeping but not the CSR
+    /// index, which is left marked stale. Installed flow, capacities,
+    /// costs and the negative-arc flags all carry over, so every solver
+    /// and repair entry point sees the same network; the first of them
+    /// rebuilds the index, bit-identically, because the rebuild is a
+    /// counting sort in arc-id order. About half the bytes of `clone()`
+    /// for a network that may never be touched again (a retained solve
+    /// kept for a repair that may not come).
+    pub fn clone_arcs(&self) -> FlowNetwork {
+        FlowNetwork {
+            arcs: self.arcs.clone(),
+            original_cap: self.original_cap.clone(),
+            neg_edges: self.neg_edges,
+            flow_dirty: self.flow_dirty,
+            ..FlowNetwork::new(self.n)
+        }
+    }
+
+    /// Heap bytes this network holds (`capacity × size_of` of every
+    /// buffer, the CSR index included).
+    pub fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.arcs)
+            + vec_bytes(&self.original_cap)
+            + vec_bytes(&self.first_out)
+            + vec_bytes(&self.csr)
+            + vec_bytes(&self.csr_arcs)
+            + vec_bytes(&self.pos)
+            + vec_bytes(&self.cursor)
     }
 
     /// Number of user edges (not counting residual arcs).

@@ -187,7 +187,7 @@ pub struct SimplexBasis {
     /// Depth from the root, for cycle (LCA) walks.
     depth: Vec<u32>,
     /// Node potentials; tree arcs have zero reduced cost.
-    pi: Vec<i64>,
+    pub(crate) pi: Vec<i64>,
     /// Tree children as intrusive sibling lists (`child_head[p]` starts
     /// the chain, `next_sib`/`prev_sib` link it): O(1) detach and a
     /// memcpy-cheap clone, both of which matter for retained bases.

@@ -117,6 +117,15 @@ impl SspScratch {
     pub(crate) fn forget(&mut self) {
         self.has_warm = false;
     }
+
+    /// Fresh scratch carrying only the final potentials, the one piece
+    /// of solve state the `repair` module reads.
+    pub(crate) fn clone_potentials(&self) -> SspScratch {
+        SspScratch {
+            pot: self.pot.clone(),
+            ..Default::default()
+        }
+    }
 }
 
 /// Successive-shortest-path min-cost flow solver.

@@ -9,7 +9,9 @@
 //! excess-to-deficit path in the residual network).
 
 use desim::SimRng;
-use mincostflow::{min_cost_flow, validate, Algorithm, EdgeId, FlowNetwork, FlowSolver};
+use mincostflow::{
+    min_cost_flow, validate, Algorithm, EdgeId, FlowNetwork, FlowSolver, RepairTier,
+};
 
 #[derive(Clone, Debug)]
 struct Instance {
@@ -191,6 +193,63 @@ fn rate_decrease_matches_cold_resolve() {
                 "case {case} ({alg:?})"
             );
         }
+    }
+}
+
+fn flows(net: &FlowNetwork) -> Vec<i64> {
+    net.edges().map(|e| net.flow_on(e)).collect()
+}
+
+/// Retained copies: the composer keeps `clone_arcs()` + `clone_for_repair()`
+/// of every solved substream instead of full clones. Both kinds of copy,
+/// repaired through the same rounds of deletions, must report equal
+/// outcomes — every `RepairOutcome` field, the tier included — and leave
+/// equal flow on every edge. The SSP repair tiers rebuild the CSR index
+/// on entry, so after them the two networks must be equal field for
+/// field, flags included.
+#[test]
+fn slim_retained_copies_repair_like_full_clones() {
+    for alg in [Algorithm::DialSsp, Algorithm::NetworkSimplex] {
+        let mut rng = SimRng::new(0x5113);
+        let mut warm_repairs = 0u32;
+        for case in 0..256u32 {
+            let inst = random_instance(&mut rng, 12);
+            let sink = inst.n - 1;
+            let mut net = build(&inst);
+            let mut solver = FlowSolver::new(alg);
+            if installed_value(solver.solve(&mut net, 0, sink, inst.target)) == 0 {
+                continue;
+            }
+            let (mut full_net, mut full) = (net.clone(), solver.clone());
+            let (mut slim_net, mut slim) = (net.clone_arcs(), solver.clone_for_repair());
+            for round in 0..4u32 {
+                let dead: Vec<EdgeId> = (0..rng.range_usize(1, 3))
+                    .map(|_| random_edge(&net, &mut rng))
+                    .collect();
+                let want = full.repair_deletions(&mut full_net, &dead);
+                let got = slim.repair_deletions(&mut slim_net, &dead);
+                assert_eq!(got, want, "case {case} round {round} ({alg:?})");
+                assert_eq!(
+                    flows(&slim_net),
+                    flows(&full_net),
+                    "case {case} round {round} ({alg:?})"
+                );
+                if want.tier != RepairTier::WarmBasis {
+                    assert_eq!(
+                        format!("{slim_net:?}"),
+                        format!("{full_net:?}"),
+                        "case {case} round {round} ({alg:?})"
+                    );
+                }
+                warm_repairs += u32::from(want.warm);
+                if !want.complete() {
+                    break; // the engine drops an entry whose repair fell short
+                }
+            }
+        }
+        // The warm tiers are what the retained state exists for; the
+        // comparison must exercise them, not only the SPFA fallback.
+        assert!(warm_repairs > 100, "{alg:?}: {warm_repairs} warm repairs");
     }
 }
 

@@ -1,33 +1,22 @@
-//! The paper's k-dimensional resource vectors (§2.1, §3.5).
+//! The paper's resource vectors (§2.1, §3.5).
 //!
-//! A node's availability vector `A_n = [A_1 … A_k]` and a component's
-//! requirement vector `u_ci = [u_1 … u_k]` (resource consumed per data
+//! A node's availability vector `A_n = [b_in, b_out]` and a component's
+//! requirement vector `u_ci = [u_in, u_out]` (bandwidth consumed per data
 //! unit per second) determine the maximum rate the node can sustain for
-//! the component: `r_max(c_i, n) = min_j A_j / u_j`.
+//! the component: `r_max(c_i, n) = min_j A_j / u_j`. The paper evaluates
+//! exactly these two resources; CPU, its stated future work, is a
+//! separate scalar wherever it is tracked.
 
-/// A non-negative vector over `k` rate-based resources (e.g. input
-/// bandwidth, output bandwidth, CPU cycles/s).
-#[derive(PartialEq, Debug)]
-pub struct ResourceVector(Vec<f64>);
-
-impl Clone for ResourceVector {
-    fn clone(&self) -> Self {
-        ResourceVector(self.0.clone())
-    }
-
-    /// Reuses the existing heap buffer when the dimensions match.
-    /// Snapshot views hold one `ResourceVector` per node, so cloning a
-    /// thousand-node view costs thousands of allocations — `clone_from`
-    /// over a previously cloned view costs none.
-    fn clone_from(&mut self, source: &Self) {
-        self.0.clone_from(&source.0);
-    }
-}
+/// A non-negative vector over the two rate-based resources, input and
+/// output bandwidth (bits/s). Inline and `Copy`: a snapshot view holds
+/// one per node, and composition builds one per candidate per layer, so
+/// none of them may cost a heap allocation.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct ResourceVector([f64; 2]);
 
 impl ResourceVector {
     /// Creates a vector from per-resource amounts (all must be ≥ 0).
-    pub fn new(amounts: Vec<f64>) -> Self {
-        assert!(!amounts.is_empty(), "resource vector must have k ≥ 1");
+    pub fn new(amounts: [f64; 2]) -> Self {
         assert!(
             amounts.iter().all(|&a| a >= 0.0 && a.is_finite()),
             "amounts must be finite and non-negative"
@@ -37,15 +26,10 @@ impl ResourceVector {
 
     /// The paper's two-resource case: `[b_in, b_out]`.
     pub fn bandwidth(b_in: f64, b_out: f64) -> Self {
-        Self::new(vec![b_in, b_out])
+        Self::new([b_in, b_out])
     }
 
-    /// Number of resource dimensions `k`.
-    pub fn dims(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Amount of resource `j`.
+    /// Amount of resource `j` (0 = input, 1 = output).
     pub fn get(&self, j: usize) -> f64 {
         self.0[j]
     }
@@ -65,7 +49,6 @@ impl ResourceVector {
     /// a component with requirement `per_unit` (resource per 1 du/s).
     /// Dimensions where the component needs nothing do not constrain.
     pub fn max_rate(&self, per_unit: &ResourceVector) -> f64 {
-        assert_eq!(self.dims(), per_unit.dims(), "dimension mismatch");
         let mut r = f64::INFINITY;
         for (a, u) in self.0.iter().zip(&per_unit.0) {
             if *u > 0.0 {
@@ -79,7 +62,6 @@ impl ResourceVector {
     /// requirement `per_unit`, clamping at zero. Paper's "update the node
     /// capacities" step between substream solves (Algorithm 1).
     pub fn consume(&mut self, per_unit: &ResourceVector, rate: f64) {
-        assert_eq!(self.dims(), per_unit.dims(), "dimension mismatch");
         assert!(rate >= 0.0, "negative rate");
         for (a, u) in self.0.iter_mut().zip(&per_unit.0) {
             *a = (*a - u * rate).max(0.0);
@@ -88,7 +70,6 @@ impl ResourceVector {
 
     /// Returns the consumption back (component torn down).
     pub fn release(&mut self, per_unit: &ResourceVector, rate: f64) {
-        assert_eq!(self.dims(), per_unit.dims(), "dimension mismatch");
         assert!(rate >= 0.0, "negative rate");
         for (a, u) in self.0.iter_mut().zip(&per_unit.0) {
             *a += u * rate;
@@ -146,14 +127,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn mismatched_dims_panic() {
-        ResourceVector::new(vec![1.0]).max_rate(&ResourceVector::bandwidth(1.0, 1.0));
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_amount_rejected() {
-        ResourceVector::new(vec![-1.0]);
+        ResourceVector::new([-1.0, 0.0]);
     }
 }

@@ -14,6 +14,20 @@
 //! match what a cold re-solve of the damaged graph would produce, at a
 //! fraction of the cost (`BENCH_compose.json`'s `adapt/` family).
 //!
+//! An entry keeps only what the repair ladder reads, because it is
+//! copied on every admission and most entries are never repaired:
+//!
+//! * the network's arc table and edge bookkeeping
+//!   (`FlowNetwork::clone_arcs`): residual capacities carry the
+//!   installed flow, and capacities, costs and the negative-arc flags
+//!   come along. The CSR adjacency index does not: it is derived from
+//!   the arcs, the first repair rebuilds it bit-identically, and it
+//!   would double the entry's size;
+//! * the solver's final potentials and, when valid, its simplex basis
+//!   (`FlowSolver::clone_for_repair`): the warm starts of the phased
+//!   and warm-basis tiers. Scratch buffers are regrown by the repair
+//!   that needs them.
+//!
 //! Repair falls back to cold recomposition (returns `None`) whenever
 //! its preconditions break:
 //!
@@ -47,8 +61,9 @@ use std::collections::HashMap;
 /// and every per-host cost is within `COST_DRIFT_BOUND` of current.
 pub(crate) const COST_DRIFT_BOUND: i64 = 200;
 
-/// One substream's retained solve: the arena the composer built (with
-/// the optimal flow installed) and the solver that produced it.
+/// One substream's retained solve: the arcs of the arena the composer
+/// built (with the optimal flow installed) and the repair state of the
+/// solver that produced it.
 #[derive(Clone, Debug)]
 pub(crate) struct CachedSubstream {
     pub(crate) net: FlowNetwork,
@@ -113,6 +128,15 @@ impl CompositionCache {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.map.len()
+    }
+
+    /// Heap bytes of every claimed entry's networks and potentials.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        self.map
+            .values()
+            .flatten()
+            .map(|cs| cs.net.heap_bytes() + cs.solver.potential_bytes())
+            .sum()
     }
 
     /// Attempts to evacuate `dead` from `key`'s retained composition.

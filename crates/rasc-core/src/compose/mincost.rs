@@ -208,7 +208,7 @@ pub struct MinCostComposer {
     /// How the cap is computed (equivalence-suite hook).
     pub selection: CandidateSelection,
     /// Whether successful solves are snapshotted for incremental repair
-    /// (cloning the arena per substream). Batch-worker arenas turn this
+    /// (copying the arena's arcs per substream). Batch-worker arenas turn this
     /// off — see [`Composer::set_retention`].
     retain_solves: bool,
     scratch: Scratch,
@@ -274,11 +274,12 @@ impl Composer for MinCostComposer {
                 }
                 // Snapshot the solved arena for incremental repair while
                 // it still holds the plain-path flow (the meta is `None`
-                // whenever a fallback path produced these stages).
+                // whenever a fallback path produced these stages). Only
+                // what repair reads is copied (see `compose::cache`).
                 let meta = self.scratch.last_meta.take().filter(|_| self.retain_solves);
                 let cached = meta.map(|m| CachedSubstream {
-                    net: self.scratch.net.clone(),
-                    solver: self.scratch.solver.clone(),
+                    net: self.scratch.net.clone_arcs(),
+                    solver: self.scratch.solver.clone_for_repair(),
                     layers: m.layers,
                     host_costs: m.host_costs,
                 });
@@ -320,6 +321,10 @@ impl Composer for MinCostComposer {
         view: &SystemView,
     ) -> Option<ExecutionGraph> {
         self.cache.repair(key, req, catalog, graph, dead, view)
+    }
+
+    fn retained_bytes(&self) -> usize {
+        self.cache.retained_bytes()
     }
 
     fn forget_warm_state(&mut self) {

@@ -138,11 +138,18 @@ pub trait Composer {
     fn forget_warm_state(&mut self) {}
 
     /// Enables or disables retention of compose state for incremental
-    /// repair. Batch-worker arenas disable it: retention clones the
-    /// solved arena per substream, and a pooled arena's cache could
-    /// never be claimed under a stable app id anyway. Composers with no
-    /// retained state ignore this.
+    /// repair. Batch-worker arenas disable it: retention copies the
+    /// solved arena's arcs per substream, and a pooled arena's cache
+    /// could never be claimed under a stable app id anyway. Composers
+    /// with no retained state ignore this.
     fn set_retention(&mut self, _on: bool) {}
+
+    /// Heap bytes of the state retained for repair (`capacity × size_of`
+    /// of every retained flow network and potential vector). Zero for
+    /// composers that retain nothing.
+    fn retained_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// Which composer an engine runs (select-by-config for experiments).

@@ -757,6 +757,13 @@ impl Engine {
             .sum()
     }
 
+    /// Heap bytes the composer holds right now for incremental repair:
+    /// `capacity × size_of` summed over every retained flow network and
+    /// potential vector (zero for composers that retain nothing).
+    pub fn retained_bytes(&self) -> usize {
+        self.state.composer.retained_bytes()
+    }
+
     /// Control-plane messages lost to injected message-loss windows.
     pub fn control_messages_lost(&self) -> u64 {
         self.state.control_lost

@@ -171,12 +171,13 @@ impl Clone for SystemView {
     }
 
     /// Re-syncs an existing view to `source` while reusing every heap
-    /// buffer (per-node resource vectors included). A fresh `clone()` of
-    /// an `n`-node view performs `O(n)` allocations because each node's
-    /// [`ResourceVector`] is heap-backed; `clone_from` onto a same-sized
-    /// view performs none. The batch admitter leans on this: pooled
-    /// worker views are re-synced to each batch's base snapshot instead
-    /// of being re-cloned.
+    /// buffer. Resource vectors are inline, so a fresh `clone()` already
+    /// allocates only once per field and once per non-empty capacity
+    /// bucket, whatever the node count; `clone_from` onto a same-sized
+    /// view allocates nothing once those buckets have grown to their
+    /// working size. The batch admitter leans on this: pooled worker
+    /// views are re-synced to each batch's base snapshot instead of
+    /// being re-cloned.
     fn clone_from(&mut self, source: &Self) {
         self.avail.clone_from(&source.avail);
         self.cap.clone_from(&source.cap);
@@ -283,7 +284,7 @@ impl SystemView {
 
     fn log_avail(&mut self, v: NodeId) {
         if !self.marks.is_empty() {
-            self.journal.push(Undo::Avail(v, self.avail[v].clone()));
+            self.journal.push(Undo::Avail(v, self.avail[v]));
         }
     }
 
@@ -330,7 +331,7 @@ impl SystemView {
     /// as the predictive part of the drop signal.
     pub fn utilization(&self, v: NodeId) -> f64 {
         let mut u: f64 = 0.0;
-        for j in 0..self.cap[v].dims() {
+        for j in 0..2 {
             let cap = self.cap[v].get(j);
             if cap > 0.0 {
                 u = u.max(1.0 - self.avail[v].get(j) / cap);
@@ -369,8 +370,8 @@ impl SystemView {
         self.drop_ratio[v] = ratio;
     }
 
-    /// Re-syncs only the listed nodes' entries from `source`, reusing
-    /// every heap buffer — the shard-local analogue of `clone_from`:
+    /// Re-syncs only the listed nodes' entries from `source` — the
+    /// shard-local analogue of `clone_from`:
     /// a shard owning `m` of `n` nodes pays `O(m)` per batch to refresh
     /// its authoritative slice instead of `O(n)` for the whole view.
     /// The remaining entries keep whatever the caller last put there
@@ -382,8 +383,8 @@ impl SystemView {
             "partial sync inside a reservation transaction"
         );
         for &v in members {
-            self.avail[v].clone_from(&source.avail[v]);
-            self.cap[v].clone_from(&source.cap[v]);
+            self.avail[v] = source.avail[v];
+            self.cap[v] = source.cap[v];
             self.cpu_avail[v] = source.cpu_avail[v];
             self.cpu_cap[v] = source.cpu_cap[v];
             self.drop_ratio[v] = source.drop_ratio[v];

@@ -36,6 +36,19 @@ cargo test -q -p desim --test queue_equivalence --test cancel_liveness
 # past verification.
 cargo test -q -p mincostflow --test basis_equivalence
 
+# Incremental repair equivalence: repaired flows must match a cold
+# re-solve of the damaged network in cost after random deletions, rate
+# bumps, rate drops and mixed sequences, and a shortfall must coincide
+# with the cold solve being infeasible. The same file holds the
+# retained-copy check: the composer keeps only `clone_arcs()` +
+# `clone_for_repair()` of each solved substream, and repairing such a
+# slim copy through rounds of deletions must report the same outcome
+# (tier included) and leave the same flows and network state as
+# repairing a full clone, on the Dial and network-simplex solvers.
+# Named so a change to what a retained solve keeps can never slip past
+# verification.
+cargo test -q -p mincostflow --test repair_equivalence
+
 # Thousand-node admission equivalences: (a) the capacity-bucket index
 # must enumerate exactly the linear reference's candidate sets across
 # topology families, mutation histories, and mid-transaction rollback
@@ -96,12 +109,15 @@ cargo test -q -p rasc-core --test cpu_constraint
 # (ratios are bigger-is-better, so the comparison is inverted like
 # units/s), prints a WARNING — quick-mode runs are noisy and machines
 # differ, so this is a tripwire for accidental regressions, not a gate.
-# Two further WARNINGs keep the data-plane rows honest: a
-# dataplane/units_per_sec, events_per_unit or meter_entries row with no
-# committed counterpart (a renamed row would otherwise go unchecked),
-# and an events/unit or meter-entry count that differs from the
-# committed one at all (those counts are exact, so any change is a
-# change in event structure or in the monitoring state).
+# Two further WARNINGs keep the exact-count rows honest: a
+# dataplane/units_per_sec, events_per_unit or meter_entries row, or an
+# admission/allocs_per_submit or adapt/retained_bytes_per_app row, with
+# no committed counterpart (a renamed row would otherwise go
+# unchecked), and an events/unit, meter-entry, allocs-per-submit or
+# retained-bytes count that differs from the committed one at all
+# (those counts are exact, so any change is a change in event
+# structure, in the monitoring state, in what a serial submit
+# allocates, or in what a retained solve keeps).
 #
 # Parallel-scaling entries are excluded on serial machines: a committed
 # entry annotated "ap1" was itself measured on a 1-core box (pool
@@ -156,10 +172,11 @@ if [ -f BENCH_compose.json ]; then
         printf "verify: WARNING %s slowed to %.2fx of committed (%.0f -> %.0f units/s)\n", \
             $1, $2 / base[$1], base[$1], $2
     }
-    $1 ~ /^dataplane\/(units_per_sec|events_per_unit|meter_entries)\// && !($1 in base) {
+    ($1 ~ /^dataplane\/(units_per_sec|events_per_unit|meter_entries)\// ||
+     $1 ~ /^(admission\/allocs_per_submit|adapt\/retained_bytes_per_app)\//) && !($1 in base) {
       printf "verify: WARNING %s has no committed row to compare with\n", $1
     }
-    ($3 == "events/unit" || $3 == "entries") && ($1 in base) && $2 + 0 != base[$1] {
+    ($3 == "events/unit" || $3 == "entries" || $3 == "allocs" || $3 == "bytes") && ($1 in base) && $2 + 0 != base[$1] {
       printf "verify: WARNING %s moved from committed %.2f to %.2f (an exact count)\n", \
           $1, base[$1], $2
     }
