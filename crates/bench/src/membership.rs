@@ -4,16 +4,19 @@
 //! the engine hands to [`Overlay::build`].
 //!
 //! * `overlay/build/{n}` — converged construction of `n` nodes,
+//! * `overlay/proximity_evals/{n}` — how many times that construction
+//!   calls the proximity metric (exact: a counting closure),
 //! * `overlay/remove/{n}` — one crash: table eviction plus leaf-set
 //!   repair (fresh copy per sample, copy untimed),
 //! * `overlay/owner_of/{n}` — the member responsible for a key,
 //! * `overlay/replica_group/{n}` — owner plus its two ring-nearest
 //!   members, as every `Dht` insert / remove / repair resolves it.
 
-use crate::microbench::{bench_or_smoke, black_box, from_samples, Measurement};
+use crate::microbench::{bench_or_smoke, black_box, from_samples, record_value, Measurement};
 use desim::SimRng;
 use overlay::{NodeKey, Overlay};
 use simnet::{kbps, Topology};
+use std::cell::Cell;
 use std::time::Instant;
 
 /// Overlay sizes measured.
@@ -41,6 +44,7 @@ pub fn family(quick: bool) -> Vec<Measurement> {
             build_ns.collect(),
         ));
         let base = base.expect("at least one sample");
+        out.push(proximity_evals(n, &proximity));
 
         let mut rng = SimRng::new(43);
         let remove_ns = (0..samples).map(|_| {
@@ -74,4 +78,20 @@ pub fn family(quick: bool) -> Vec<Measurement> {
         }));
     }
     out
+}
+
+/// `overlay/proximity_evals/{n}`: the calls one `n`-node build makes to
+/// `proximity`, counted exactly.
+fn proximity_evals(n: usize, proximity: &impl Fn(usize, usize) -> f64) -> Measurement {
+    let evals = Cell::new(0u64);
+    let counting = |a: usize, b: usize| {
+        evals.set(evals.get() + 1);
+        proximity(a, b)
+    };
+    black_box(Overlay::build(n, 42, &counting));
+    record_value(
+        &format!("overlay/proximity_evals/{n}"),
+        evals.get() as f64,
+        "evals",
+    )
 }

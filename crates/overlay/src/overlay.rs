@@ -7,7 +7,9 @@ use desim::SimRng;
 use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Network-proximity metric between two members (e.g. simulated latency in
-/// milliseconds). Pastry uses it to prefer nearby nodes in routing tables.
+/// milliseconds), as [`Overlay::join`] takes it. Pastry uses it to prefer
+/// nearby nodes in routing tables. [`Overlay::build`] takes any such
+/// closure by reference and is monomorphized over it.
 pub type ProximityFn<'a> = &'a dyn Fn(MemberId, MemberId) -> f64;
 
 /// State of one overlay node.
@@ -45,7 +47,17 @@ impl Overlay {
     /// `seed`, using `proximity` for routing-table locality choices, wired
     /// up as if the nodes had joined in id order and the membership
     /// protocols had fully converged after each join.
-    pub fn build(n: usize, seed: u64, proximity: ProximityFn<'_>) -> Overlay {
+    ///
+    /// `proximity` is evaluated once per ordered pair of distinct members:
+    /// before a node's candidates are offered, one reused row is filled
+    /// with its proximity to every other member, and each offer compares
+    /// row entries. Candidates are still offered in the one-by-one join
+    /// order below, so every strict-`<` tie is settled as before and the
+    /// tables are identical to evaluating `proximity` on every offer.
+    pub fn build<P>(n: usize, seed: u64, proximity: &P) -> Overlay
+    where
+        P: Fn(MemberId, MemberId) -> f64 + ?Sized,
+    {
         assert!(n > 0, "empty overlay");
         let mut rng = SimRng::new(seed ^ 0x5061_7374_7279_2131);
         let mut ring: BTreeMap<NodeKey, MemberId> = BTreeMap::new();
@@ -59,8 +71,13 @@ impl Overlay {
         }
         // Flat copy of the ring: the loop below walks it once per node.
         let by_key: Vec<(NodeKey, MemberId)> = ring.iter().map(|(&k, &m)| (k, m)).collect();
+        // `row[m]` is the proximity of the node being built to member `m`;
+        // its own entry is never read (a table never offers its owner).
+        let mut row: Vec<f64> = Vec::with_capacity(n);
         let nodes = (0..n)
             .map(|id| {
+                row.clear();
+                row.extend((0..n).map(|m| if m == id { f64::NAN } else { proximity(id, m) }));
                 // A slot changes hands only to a strictly closer candidate,
                 // so equally close ones are settled by who was offered
                 // first. Joining in id order, a node is offered the members
@@ -70,7 +87,7 @@ impl Overlay {
                 let earlier = by_key.iter().copied().filter(|&(_, m)| m < id);
                 let later = (id + 1..n).map(|m| (keys[m], m));
                 for (k, m) in earlier.chain(later) {
-                    table.consider(k, m, |cand| proximity(id, cand));
+                    table.consider(k, m, |cand| row[cand]);
                 }
                 NodeState {
                     key: keys[id],
@@ -492,5 +509,18 @@ mod tests {
         let ov2 = Overlay::build(32, 11, &prox_a);
         assert_eq!(ov1.mean_table_size(), ov2.mean_table_size());
         assert!(ov1.mean_table_size() > 1.0);
+    }
+
+    #[test]
+    fn build_evaluates_each_pair_once() {
+        for n in [1usize, 2, 17, 100] {
+            let evals = std::cell::Cell::new(0);
+            let prox = |a: MemberId, b: MemberId| {
+                evals.set(evals.get() + 1);
+                ((a * 3 + b * 7) % 4) as f64
+            };
+            Overlay::build(n, 12, &prox);
+            assert_eq!(evals.get(), n * (n - 1), "n={n}");
+        }
     }
 }

@@ -7,6 +7,8 @@
 //! every table slot on eviction, scan the ring for an owner, sort the
 //! ring for a replica group — and every test asserts state-for-state
 //! equality: every routing-table slot and both leaf-set sides in order.
+//! The oracle evaluates proximity on every offer, so it also checks that
+//! `build`'s per-node proximity row holds the same values.
 
 use desim::SimRng;
 use overlay::{MemberId, NodeKey, Overlay};
@@ -259,6 +261,17 @@ fn build_join_remove_match_the_oracle_state_for_state() {
             });
         }
     });
+}
+
+/// Construction alone, at a size the churn test does not build: each node's
+/// proximity row must be filled for that node and read at the candidate.
+#[test]
+fn build_matches_the_oracle_at_300_members() {
+    for seed in 0..4u64 {
+        let ov = Overlay::build(300, seed, &prox);
+        let o = Oracle::build(300, seed);
+        assert_same_state(&ov, &o, &format!("n=300 seed={seed} build"));
+    }
 }
 
 /// Builds `n` nodes, then joins and removes at random until 40 members

@@ -59,7 +59,11 @@ impl<T> Bag<T> {
     }
 
     /// Removes and returns the job minimizing `key`, tie-broken by
-    /// earliest arrival then insertion order (deterministic).
+    /// earliest arrival, then by position in the bag (deterministic).
+    /// Position is insertion order only until
+    /// [`drop_hopeless`](Self::drop_hopeless) swap-removes a job: the last
+    /// job then takes the dropped one's place, ahead of jobs inserted
+    /// before it. Run digests depend on this order.
     fn take_min_by(&mut self, key: impl Fn(&Job<T>) -> f64) -> Option<Job<T>> {
         if self.items.is_empty() {
             return None;
@@ -323,10 +327,32 @@ mod tests {
 
     #[test]
     fn ties_break_by_arrival_then_insertion() {
+        // Insertion order, that is, while no drop has reordered the bag
+        // (see `ties_after_a_drop_break_by_bag_position`).
         let mut s = LlfScheduler::new(8);
         s.enqueue(job(1, 10, 100, 20)).unwrap();
         s.enqueue(job(2, 5, 100, 20)).unwrap(); // same laxity, earlier arrival
         assert_eq!(s.dispatch(t(0)).chosen.unwrap().payload, 2);
+    }
+
+    #[test]
+    fn ties_after_a_drop_break_by_bag_position() {
+        // Jobs 2-4 tie on laxity and arrival. Dropping job 1 swap-removes
+        // it, moving job 4 into the front slot, so job 4 goes first.
+        for mut s in [
+            Box::new(LlfScheduler::new(8)) as Box<dyn Scheduler<u32>>,
+            Box::new(EdfScheduler::new(8)),
+        ] {
+            s.enqueue(job(1, 0, 10, 20)).unwrap(); // hopeless from birth
+            for id in 2..=4 {
+                s.enqueue(job(id, 0, 100, 20)).unwrap();
+            }
+            let out = s.dispatch(t(0));
+            assert_eq!(out.dropped.len(), 1);
+            let mut order = vec![out.chosen.unwrap().payload];
+            order.extend((0..2).map(|_| s.dispatch(t(0)).chosen.unwrap().payload));
+            assert_eq!(order, [4, 2, 3]);
+        }
     }
 
     #[test]

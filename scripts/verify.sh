@@ -72,9 +72,11 @@ cargo test -q -p rasc-core --test shard_equivalence --test shard_rollback
 # affect; the suite keeps the quadratic from-scratch construction as a
 # test-only oracle and asserts every routing-table slot and both
 # leaf-set sides equal after each of hundreds of seeded operations,
-# under a tie-heavy asymmetric proximity metric. Named so a change to
-# offer order, slot eviction or a ring walk can never slip past
-# verification.
+# under a tie-heavy asymmetric proximity metric. The oracle evaluates
+# proximity on every offer, so it also guards build's per-node
+# proximity row (filled for the node being built, read at the
+# candidate). Named so a change to offer order, the proximity row, slot
+# eviction or a ring walk can never slip past verification.
 cargo test -q -p overlay --test membership_equivalence
 
 # Monitor window equivalence: the throughput meter, which keeps one
@@ -110,14 +112,16 @@ cargo test -q -p rasc-core --test cpu_constraint
 # units/s), prints a WARNING — quick-mode runs are noisy and machines
 # differ, so this is a tripwire for accidental regressions, not a gate.
 # Two further WARNINGs keep the exact-count rows honest: a
-# dataplane/units_per_sec, events_per_unit or meter_entries row, or an
-# admission/allocs_per_submit or adapt/retained_bytes_per_app row, with
-# no committed counterpart (a renamed row would otherwise go
-# unchecked), and an events/unit, meter-entry, allocs-per-submit or
-# retained-bytes count that differs from the committed one at all
-# (those counts are exact, so any change is a change in event
-# structure, in the monitoring state, in what a serial submit
-# allocates, or in what a retained solve keeps).
+# dataplane/units_per_sec, events_per_unit or meter_entries row, an
+# admission/allocs_per_submit or adapt/retained_bytes_per_app row, or
+# an overlay/proximity_evals row, with no committed counterpart (a
+# renamed row would otherwise go unchecked), and an events/unit,
+# meter-entry, allocs-per-submit, retained-bytes or proximity-eval
+# count that differs from the committed one at all (those counts are
+# exact, so any change is a change in event structure, in the
+# monitoring state, in what a serial submit allocates, in what a
+# retained solve keeps, or in how often overlay construction calls the
+# proximity metric).
 #
 # Parallel-scaling entries are excluded on serial machines: a committed
 # entry annotated "ap1" was itself measured on a 1-core box (pool
@@ -173,10 +177,10 @@ if [ -f BENCH_compose.json ]; then
             $1, $2 / base[$1], base[$1], $2
     }
     ($1 ~ /^dataplane\/(units_per_sec|events_per_unit|meter_entries)\// ||
-     $1 ~ /^(admission\/allocs_per_submit|adapt\/retained_bytes_per_app)\//) && !($1 in base) {
+     $1 ~ /^(admission\/allocs_per_submit|adapt\/retained_bytes_per_app|overlay\/proximity_evals)\//) && !($1 in base) {
       printf "verify: WARNING %s has no committed row to compare with\n", $1
     }
-    ($3 == "events/unit" || $3 == "entries" || $3 == "allocs" || $3 == "bytes") && ($1 in base) && $2 + 0 != base[$1] {
+    ($3 == "events/unit" || $3 == "entries" || $3 == "allocs" || $3 == "bytes" || $3 == "evals") && ($1 in base) && $2 + 0 != base[$1] {
       printf "verify: WARNING %s moved from committed %.2f to %.2f (an exact count)\n", \
           $1, base[$1], $2
     }
