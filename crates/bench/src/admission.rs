@@ -31,10 +31,8 @@
 
 use crate::microbench::{count_allocations, record_rate, record_value, Measurement};
 use desim::SimRng;
-use overlay::RegionMap;
 use rasc_core::compose::{
     BatchAdmitter, BatchItem, ComposeError, Composer, LatencyMatrix, MinCostComposer, ProviderMap,
-    ShardedAdmitter,
 };
 use rasc_core::engine::{Engine, EngineConfig};
 use rasc_core::model::{ServiceCatalog, ServiceRequest};
@@ -75,9 +73,6 @@ pub struct AdmissionScenario {
     pub items: Vec<BatchItem>,
     /// Link latencies, shared by every composer this scenario builds.
     pub latencies: Arc<LatencyMatrix>,
-    /// Site assignment of the power-law overlay (cluster id per node),
-    /// the input to region sharding.
-    pub sites: Vec<u32>,
 }
 
 /// Builds the scenario: `requests` distinct 3-stage chains with spread
@@ -112,17 +107,12 @@ pub fn scenario(n: usize, requests: usize, seed: u64) -> AdmissionScenario {
             )
         })
         .collect();
-    let sites = topology
-        .site_assignment()
-        .expect("power-law overlays are clustered")
-        .to_vec();
     AdmissionScenario {
         n,
         catalog,
         view,
         items,
         latencies,
-        sites,
     }
 }
 
@@ -216,113 +206,6 @@ pub fn batch_apps_per_sec(
         start.elapsed(),
     )
     .with_threads(threads)
-}
-
-/// A region-sharded admitter over the scenario's site structure, with
-/// the same capped composer configuration as [`admitter`].
-/// `refresh_every` is in batches (the admitter's self-refreshing mode):
-/// 1 re-captures the digest before every batch, larger values let
-/// shard-local composers see progressively staler remote capacity.
-pub fn sharded_admitter(
-    sc: &AdmissionScenario,
-    shards: usize,
-    threads: usize,
-    refresh_every: u64,
-) -> ShardedAdmitter {
-    let latencies = sc.latencies.clone();
-    let regions = RegionMap::from_sites(&sc.sites, shards);
-    ShardedAdmitter::new(regions, threads, refresh_every, move || {
-        Box::new(
-            MinCostComposer::default()
-                .with_latencies(latencies.clone())
-                .with_candidate_cap(CANDIDATE_CAP),
-        )
-    })
-}
-
-/// Admitted-apps/sec of the region-sharded pipeline. Each batch starts
-/// from a fresh re-sync of the base snapshot, exactly like
-/// [`batch_apps_per_sec`], so sharded and global numbers are directly
-/// comparable.
-pub fn sharded_apps_per_sec(
-    name: &str,
-    sc: &AdmissionScenario,
-    shards: usize,
-    batch: usize,
-    threads: usize,
-    refresh_every: u64,
-    budget: Duration,
-) -> Measurement {
-    let mut admitter = sharded_admitter(sc, shards, threads, refresh_every);
-    let mut admitted = 0u64;
-    let mut view = sc.view.clone();
-    let start = Instant::now();
-    loop {
-        for (b, chunk) in sc.items.chunks(batch).enumerate() {
-            view.clone_from(&sc.view);
-            let out = admitter.admit_batch(&mut view, &sc.catalog, chunk, b as u64);
-            admitted += out.outcome.admitted() as u64;
-        }
-        if start.elapsed() >= budget {
-            break;
-        }
-    }
-    record_rate(
-        &format!("admission/sharded_apps_per_sec/{name}/{}", sc.n),
-        admitted,
-        start.elapsed(),
-    )
-    .with_threads(threads)
-}
-
-/// Accounting of one saturating sharded run (see [`sharded_saturation`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShardedSaturation {
-    /// Requests submitted across all batches.
-    pub submitted: usize,
-    /// Requests admitted.
-    pub admitted: usize,
-    /// Commit-time conflicts (proposal overcommitted a host).
-    pub conflicts: usize,
-    /// Conflicted requests whose replay also failed.
-    pub replay_rejected: usize,
-    /// Admitted requests with a placement outside the source's region.
-    pub cross_shard: usize,
-}
-
-/// Runs the scenario's request pool through the sharded pipeline into
-/// **one** view — no per-burst reset, looping the pool `passes` times —
-/// so capacity genuinely drains and later batches compose against
-/// remote digests that are `refresh_every` batches stale. The conflict
-/// and replay counts trace the staleness curve: near saturation, the
-/// longer the digest lags the ledger, the more optimistic cross-shard
-/// placements bounce at commit. (A single pass barely dents a
-/// thousand-node overlay, which flattens the curve to zero — saturate
-/// first, then measure.)
-pub fn sharded_saturation(
-    sc: &AdmissionScenario,
-    shards: usize,
-    batch: usize,
-    threads: usize,
-    refresh_every: u64,
-    passes: usize,
-) -> ShardedSaturation {
-    let mut admitter = sharded_admitter(sc, shards, threads, refresh_every);
-    let mut view = sc.view.clone();
-    let mut acc = ShardedSaturation::default();
-    let mut round = 0u64;
-    for _ in 0..passes.max(1) {
-        for chunk in sc.items.chunks(batch) {
-            let out = admitter.admit_batch(&mut view, &sc.catalog, chunk, round);
-            round += 1;
-            acc.submitted += chunk.len();
-            acc.admitted += out.outcome.admitted();
-            acc.conflicts += out.outcome.stats.conflicts;
-            acc.replay_rejected += out.outcome.stats.replay_rejected;
-            acc.cross_shard += out.cross_shard;
-        }
-    }
-    acc
 }
 
 /// Heap allocations per request in the batch pipeline's steady state
@@ -458,37 +341,6 @@ mod tests {
         let b = batch_apps_per_sec("batch16", &sc, 16, 1, Duration::from_millis(1));
         assert!(b.value > 0.0, "batch path admitted nothing");
         assert!(b.name.ends_with("/1000"));
-    }
-
-    #[test]
-    fn sharded_one_shard_matches_global_batch() {
-        let sc = scenario(1_000, 32, 17);
-        let global = admitter(&sc, 2);
-        let mut view_a = sc.view.clone();
-        let out_a = global.admit_batch(&mut view_a, &sc.catalog, &sc.items, 5);
-        let mut sharded = sharded_admitter(&sc, 1, 2, 1);
-        let mut view_b = sc.view.clone();
-        let out_b = sharded.admit_batch(&mut view_b, &sc.catalog, &sc.items, 5);
-        assert_eq!(out_a.digest(), out_b.outcome.digest());
-        assert_eq!(view_a, view_b);
-        assert_eq!(out_b.cross_shard, 0);
-    }
-
-    #[test]
-    fn sharded_saturation_drains_capacity() {
-        let sc = scenario(1_000, 128, 42);
-        let acc = sharded_saturation(&sc, 8, 16, 2, 4, 16);
-        assert_eq!(acc.submitted, 128 * 16);
-        assert!(acc.admitted > 0, "sharded pipeline admitted nothing");
-        assert!(
-            acc.admitted < acc.submitted,
-            "16 passes should drain the overlay into rejections"
-        );
-        assert!(
-            acc.admitted >= acc.cross_shard,
-            "cross-shard count exceeds admissions"
-        );
-        eprintln!("saturation: {acc:?}");
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
     let mut results = Vec::new();
     // Family gate for `--filter`: a section runs when no filter is set
     // or when the filter and the section's family overlap as substrings
-    // (so `--filter admission/sharded` still runs the admission family).
+    // (so `--filter admission/select` still runs the admission family).
     let want = |family: &str| match filter {
         None => true,
         Some(f) => f.contains(family) || family.contains(f),
@@ -532,52 +532,6 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
                 pool_threads,
                 budget,
             ));
-
-            // Region-sharded pipeline: shard-local composers over
-            // partial views, remote capacity via the residual digest.
-            // Throughput entries reset the view per burst (directly
-            // comparable to batch128/batch128_pooled above); the
-            // staleness sweep then drains ONE view to saturation and
-            // records the conflict/replay curve as the digest refresh
-            // interval stretches.
-            let shard_counts: &[usize] = if quick { &[4] } else { &[1, 4, 8] };
-            for &s in shard_counts {
-                results.push(admission::sharded_apps_per_sec(
-                    &format!("s{s}_b128_r1"),
-                    &sc,
-                    s,
-                    128,
-                    pool_threads,
-                    1,
-                    budget,
-                ));
-            }
-            let refreshes: &[u64] = if quick { &[1] } else { &[1, 8, 64] };
-            // Enough passes over the pool to drain the overlay into the
-            // regime where stale digests matter (~n/64 keeps the pass
-            // count proportional to capacity; quick mode stays light).
-            let passes = if quick { 2 } else { (n / 64).max(8) };
-            for &r in refreshes {
-                let acc = admission::sharded_saturation(&sc, 8, 16, pool_threads, r, passes);
-                let per_req = |count: usize| count as f64 / acc.submitted.max(1) as f64;
-                results.push(record_value(
-                    &format!("admission/sharded_conflict_rate/s8_r{r}/{n}"),
-                    per_req(acc.conflicts),
-                    "conflicts/req",
-                ));
-                results.push(record_value(
-                    &format!("admission/sharded_replay_reject_rate/s8_r{r}/{n}"),
-                    per_req(acc.replay_rejected),
-                    "rejects/req",
-                ));
-                if r == 1 {
-                    results.push(record_value(
-                        &format!("admission/sharded_cross_shard_rate/s8_r1/{n}"),
-                        per_req(acc.cross_shard),
-                        "placements/req",
-                    ));
-                }
-            }
         }
 
         // Candidate-selection kernel: the linear reference scan vs the
@@ -796,16 +750,6 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
             apps("batch128"),
             apps("batch128_pooled"),
         );
-        let sharded = |s: &str| ns_of(&format!("admission/sharded_apps_per_sec/{s}/{n}"));
-        if !sharded("s8_b128_r1").is_nan() {
-            println!(
-                "  sharded apps/sec at {n} nodes: 1 shard {:.0}, 4 shards {:.0}, \
-                 8 shards {:.0} (128-burst, refresh every batch)",
-                sharded("s1_b128_r1"),
-                sharded("s4_b128_r1"),
-                sharded("s8_b128_r1"),
-            );
-        }
     }
     println!(
         "candidate selection 1k->10k growth: linear {:.1}x, indexed {:.1}x \
@@ -902,54 +846,6 @@ fn chaos_soak_cmd(quick: bool) {
     } else {
         println!("serial and parallel digests match");
     }
-
-    // Sharded-composer axis: shard counts × digest-refresh intervals on
-    // audited engines, plus the global-pipeline twin at shard-count 1.
-    let scfg = if quick {
-        rasc_bench::ShardedSoakConfig {
-            seeds: vec![1, 2],
-            ..Default::default()
-        }
-    } else {
-        rasc_bench::ShardedSoakConfig::default()
-    };
-    println!(
-        "sharded soak: {} seeds x {} shard counts x {} refresh intervals = {} audited runs",
-        scfg.seeds.len(),
-        scfg.shard_counts.len(),
-        scfg.refresh_secs.len(),
-        scfg.runs()
-    );
-    let start = Instant::now();
-    let sharded = rasc_bench::sharded_soak_threads(&scfg, threads);
-    let sharded_wall = start.elapsed();
-    for r in &sharded.runs {
-        if r.violations > 0 {
-            failed = true;
-            eprintln!(
-                "VIOLATIONS seed {} shards {} refresh {}s: {} ({:?})",
-                r.seed, r.shards, r.refresh_secs, r.violations, r.messages
-            );
-        }
-    }
-    if let Some(bad) = sharded.twin_mismatch() {
-        failed = true;
-        eprintln!(
-            "SHARDED TWIN MISMATCH seed {} refresh {}s: sharded {:016x} != global {:016x}",
-            bad.seed,
-            bad.refresh_secs,
-            bad.batch_digest,
-            bad.twin_digest.expect("mismatch implies a twin")
-        );
-    } else {
-        println!("one-shard cells are digest-identical to the global pipeline");
-    }
-    println!(
-        "sharded violations: {} | digest: {:016x} | wall {:.2}s",
-        sharded.violations,
-        sharded.digest,
-        sharded_wall.as_secs_f64()
-    );
 
     if failed {
         std::process::exit(1);

@@ -208,202 +208,6 @@ pub fn chaos_soak(cfg: &ChaosConfig) -> ChaosSummary {
     chaos_soak_threads(cfg, desim::pool::default_threads())
 }
 
-/// Axes of the sharded-admission soak: shard counts × digest-refresh
-/// intervals, each cell an audited engine over a clustered overlay
-/// admitting bursts through the region-sharded pipeline while the
-/// auditor checkpoints (including the digest-staleness bound). Every
-/// shard-count-1 cell also runs a `shards = 0` twin and records its
-/// batch digest — the two pipelines must agree bit-for-bit.
-#[derive(Clone, Debug)]
-pub struct ShardedSoakConfig {
-    /// Seeds; each seeds catalog, topology, and engine RNG.
-    pub seeds: Vec<u64>,
-    /// Shard counts under test (1 triggers the serial-twin comparison).
-    pub shard_counts: Vec<usize>,
-    /// Digest refresh periods in simulated seconds (the staleness axis).
-    pub refresh_secs: Vec<f64>,
-    /// Overlay size per run.
-    pub nodes: usize,
-    /// Simulated horizon per run, seconds.
-    pub horizon_secs: f64,
-}
-
-impl Default for ShardedSoakConfig {
-    fn default() -> Self {
-        ShardedSoakConfig {
-            seeds: vec![1, 2, 3],
-            shard_counts: vec![1, 2, 4],
-            refresh_secs: vec![0.5, 4.0],
-            nodes: 64,
-            horizon_secs: 12.0,
-        }
-    }
-}
-
-impl ShardedSoakConfig {
-    /// Number of cells in the matrix.
-    pub fn runs(&self) -> usize {
-        self.seeds.len() * self.shard_counts.len() * self.refresh_secs.len()
-    }
-}
-
-/// Outcome of one audited sharded-soak cell.
-#[derive(Clone, Debug)]
-pub struct ShardedSoakRun {
-    /// Seed of this cell.
-    pub seed: u64,
-    /// Shard count of the engine under test.
-    pub shards: usize,
-    /// Digest refresh period of the engine under test.
-    pub refresh_secs: f64,
-    /// Folded digest of both bursts' admission outcomes.
-    pub batch_digest: u64,
-    /// The `shards = 0` twin's folded batch digest (shard-count-1 cells
-    /// only); must equal `batch_digest`.
-    pub twin_digest: Option<u64>,
-    /// Total audit violations (retained + suppressed); 0 when healthy.
-    pub violations: u64,
-    /// First few violation messages, for diagnostics.
-    pub messages: Vec<String>,
-    /// Mid-run audit checkpoints performed.
-    pub checkpoints: u64,
-}
-
-/// Aggregated sharded-soak result.
-#[derive(Clone, Debug)]
-pub struct ShardedSoakSummary {
-    /// One entry per (seed, shards, refresh) cell, in job order.
-    pub runs: Vec<ShardedSoakRun>,
-    /// Matrix digest over every cell's batch digest, in job order.
-    pub digest: u64,
-    /// Sum of violations across the matrix.
-    pub violations: u64,
-}
-
-impl ShardedSoakSummary {
-    /// Whether every cell finished without a violation AND every
-    /// shard-count-1 cell matched its global twin.
-    pub fn clean(&self) -> bool {
-        self.violations == 0 && self.twin_mismatch().is_none()
-    }
-
-    /// First shard-count-1 cell whose digest differs from its
-    /// `shards = 0` twin, if any. `None` is the healthy outcome.
-    pub fn twin_mismatch(&self) -> Option<&ShardedSoakRun> {
-        self.runs
-            .iter()
-            .find(|r| r.twin_digest.is_some_and(|t| t != r.batch_digest))
-    }
-}
-
-/// Builds one audited engine over a power-law overlay for the sharded
-/// soak; `shards = 0` builds the global-pipeline twin.
-fn build_sharded_engine(cfg: &ShardedSoakConfig, seed: u64, shards: usize, refresh: f64) -> Engine {
-    let n = cfg.nodes;
-    let catalog = ServiceCatalog::synthetic(4, seed);
-    let topo = simnet::Topology::power_law(n, kbps(400.0), kbps(3000.0), seed);
-    let offers: Vec<Vec<usize>> = (0..n)
-        .map(|v| (0..4).filter(|s| (v + s) % 7 == 0).collect())
-        .collect();
-    Engine::builder(n, catalog, seed)
-        .topology(topo)
-        .offers(offers)
-        .config(EngineConfig {
-            candidate_cap: Some(8),
-            shards,
-            digest_refresh_secs: refresh,
-            audit: true,
-            audit_period_secs: 1.0,
-            ..Default::default()
-        })
-        .build()
-}
-
-/// Drives one engine through the soak workload: two bursts with the
-/// fault-free horizon split around them, then teardown under the final
-/// audit. Returns (folded batch digest, audit report, checkpoints).
-fn drive_sharded(
-    cfg: &ShardedSoakConfig,
-    e: &mut Engine,
-    n: usize,
-) -> (u64, u64, Vec<String>, u64) {
-    let burst = |o: usize| -> Vec<ServiceRequest> {
-        (0..16)
-            .map(|i| {
-                ServiceRequest::chain(
-                    &[i % 4, (i + 1) % 4],
-                    4.0 + ((i + o) % 16) as f64,
-                    (i * 5 + o) % n,
-                    (i * 5 + o + 2) % n,
-                )
-            })
-            .collect()
-    };
-    let first = e.submit_batch(burst(0), 2);
-    e.run_for_secs(0.4 * cfg.horizon_secs);
-    let second = e.submit_batch(burst(3), 2);
-    e.run_for_secs(0.6 * cfg.horizon_secs);
-    let audit = e.finish_run();
-    let digest = fnv1a64([first.digest, second.digest]);
-    (
-        digest,
-        audit.violation_count(),
-        audit.violations,
-        audit.checkpoints,
-    )
-}
-
-/// One sharded-soak cell (plus the global twin at shard-count 1).
-fn run_sharded_cell(
-    cfg: &ShardedSoakConfig,
-    seed: u64,
-    shards: usize,
-    refresh: f64,
-) -> ShardedSoakRun {
-    let n = cfg.nodes;
-    let mut e = build_sharded_engine(cfg, seed, shards, refresh);
-    let (batch_digest, violations, messages, checkpoints) = drive_sharded(cfg, &mut e, n);
-    let twin_digest = (shards == 1).then(|| {
-        let mut twin = build_sharded_engine(cfg, seed, 0, refresh);
-        let (d, v, m, _) = drive_sharded(cfg, &mut twin, n);
-        debug_assert_eq!(v, 0, "global twin violated the audit: {m:?}");
-        d
-    });
-    ShardedSoakRun {
-        seed,
-        shards,
-        refresh_secs: refresh,
-        batch_digest,
-        twin_digest,
-        violations,
-        messages,
-        checkpoints,
-    }
-}
-
-/// Runs the sharded-admission soak on `threads` workers; job order (and
-/// the matrix digest) is fixed by the config axes.
-pub fn sharded_soak_threads(cfg: &ShardedSoakConfig, threads: usize) -> ShardedSoakSummary {
-    let mut jobs = Vec::with_capacity(cfg.runs());
-    for &seed in &cfg.seeds {
-        for &shards in &cfg.shard_counts {
-            for &refresh in &cfg.refresh_secs {
-                jobs.push((seed, shards, refresh));
-            }
-        }
-    }
-    let runs = desim::pool::parallel_map_threads(threads, &jobs, |_, &(seed, shards, refresh)| {
-        run_sharded_cell(cfg, seed, shards, refresh)
-    });
-    let digest = fnv1a64(runs.iter().map(|r| r.batch_digest));
-    let violations = runs.iter().map(|r| r.violations).sum();
-    ShardedSoakSummary {
-        runs,
-        digest,
-        violations,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,32 +231,6 @@ mod tests {
         assert_eq!(a.runs.len(), cfg.runs());
         assert!(a.runs.iter().all(|r| r.checkpoints > 0));
         let b = chaos_soak_threads(&cfg, 2);
-        assert_eq!(a.digest, b.digest, "digest depends on worker count");
-    }
-
-    #[test]
-    fn sharded_soak_is_clean_and_twin_equal() {
-        let cfg = ShardedSoakConfig {
-            seeds: vec![7, 9],
-            shard_counts: vec![1, 4],
-            refresh_secs: vec![0.5, 4.0],
-            nodes: 64,
-            horizon_secs: 8.0,
-        };
-        let a = sharded_soak_threads(&cfg, 1);
-        assert_eq!(a.runs.len(), cfg.runs());
-        assert_eq!(a.violations, 0, "{:#?}", a.runs);
-        if let Some(bad) = a.twin_mismatch() {
-            panic!("sharded != global at one shard: {bad:#?}");
-        }
-        assert!(a.runs.iter().all(|r| r.checkpoints > 0));
-        // Every shard-count-1 cell carried a twin, no other cell did.
-        assert!(a
-            .runs
-            .iter()
-            .all(|r| (r.shards == 1) == r.twin_digest.is_some()));
-        // Worker count must not change the matrix digest.
-        let b = sharded_soak_threads(&cfg, 2);
         assert_eq!(a.digest, b.digest, "digest depends on worker count");
     }
 

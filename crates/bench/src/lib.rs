@@ -14,10 +14,7 @@ pub mod membership;
 pub mod microbench;
 pub mod sweep;
 
-pub use chaos::{
-    chaos_soak, chaos_soak_threads, sharded_soak_threads, ChaosConfig, ChaosSummary,
-    ShardedSoakConfig, ShardedSoakSummary,
-};
+pub use chaos::{chaos_soak, chaos_soak_threads, ChaosConfig, ChaosSummary};
 pub use figures::{render_figure, Figure, FigureSeries};
 pub use microbench::{bench, bench_config, render_json, Measurement};
 pub use sweep::{paper_sweep, paper_sweep_threads, SweepCell, SweepConfig};

@@ -46,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod digest;
 mod ewma;
 mod histogram;
 mod rate;
@@ -55,7 +54,6 @@ mod throughput;
 mod welford;
 mod window;
 
-pub use digest::ResidualDigest;
 pub use ewma::Ewma;
 pub use histogram::Histogram;
 pub use rate::RateEstimator;

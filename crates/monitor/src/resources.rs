@@ -34,17 +34,6 @@ impl ResourceVector {
         self.0[j]
     }
 
-    /// Overwrites the amount of resource `j`. Digest application patches
-    /// a partial view's remote entries to reported residuals directly,
-    /// with no consume/release delta to go through.
-    pub fn set(&mut self, j: usize, amount: f64) {
-        assert!(
-            amount >= 0.0 && amount.is_finite(),
-            "amounts must be finite and non-negative"
-        );
-        self.0[j] = amount;
-    }
-
     /// `r_max`: the largest rate a node with availability `self` can offer
     /// a component with requirement `per_unit` (resource per 1 du/s).
     /// Dimensions where the component needs nothing do not constrain.

@@ -46,14 +46,12 @@ mod dht;
 mod hash;
 mod key;
 mod overlay;
-mod region;
 mod table;
 
 pub use dht::{Dht, LookupResult};
 pub use hash::stable_hash128;
 pub use key::NodeKey;
 pub use overlay::{Overlay, ProximityFn};
-pub use region::RegionMap;
 pub use table::{LeafSet, RoutingTable};
 
 /// Dense index of a member node, assigned by the [`Overlay`] at build/join

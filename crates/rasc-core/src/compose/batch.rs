@@ -57,7 +57,7 @@ use crate::compose::{apply_reservations, ComposeError, ProviderMap};
 use crate::model::{ExecutionGraph, ServiceCatalog, ServiceRequest};
 use crate::view::SystemView;
 use desim::SimRng;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
 /// One request of a batch: what `Engine::handle_submit` hands its
@@ -130,6 +130,10 @@ impl BatchOutcome {
                     h.write_u8(5);
                     h.write_usize(*v);
                 }
+                Err(ComposeError::Malformed(e)) => {
+                    h.write_u8(6);
+                    e.hash(&mut h);
+                }
             }
         }
         for &i in &self.replayed {
@@ -146,7 +150,7 @@ impl BatchOutcome {
 
 /// SplitMix64 (same constants as `simnet`'s jitter hash): decorrelates
 /// per-item RNG streams from the batch seed.
-pub(crate) fn mix(mut x: u64) -> u64 {
+fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
@@ -155,7 +159,7 @@ pub(crate) fn mix(mut x: u64) -> u64 {
 
 /// Salt of the conflict-replay RNG stream (`"REPLAY"` in ASCII), so a
 /// replay never re-rolls its optimistic phase's random choices.
-pub(crate) const REPLAY_SALT: u64 = 0x5245504C4159;
+const REPLAY_SALT: u64 = 0x5245504C4159;
 
 /// Which proposal wins contended capacity: the commit order of the
 /// reconcile phase. Benoit et al. (PAPERS.md) analyze how admission
@@ -180,7 +184,7 @@ impl OrderPolicy {
     /// The commit order, as indices into `items`. Always a permutation;
     /// ties never reorder (submission index breaks them), so the order
     /// is deterministic for any input.
-    pub(crate) fn commit_order(self, items: &[BatchItem]) -> Vec<usize> {
+    fn commit_order(self, items: &[BatchItem]) -> Vec<usize> {
         let mut order: Vec<usize> = (0..items.len()).collect();
         let weight = |i: usize| items[i].0.total_bits_per_sec();
         match self {
@@ -205,14 +209,11 @@ impl OrderPolicy {
     }
 }
 
-/// The serial validate-and-commit pass shared by the global
-/// [`BatchAdmitter`] and the region-sharded admitter: walk proposals in
-/// commit order against the authoritative `view`, apply what still fits,
-/// replay conflicts with the per-item replay RNG stream. Sharing this
-/// code (rather than re-implementing it per pipeline) is what makes the
-/// shard-count=1 pipeline digest-identical to the global one by
-/// construction: identical proposals in, identical commits out.
-pub(crate) fn reconcile_proposals(
+/// The serial validate-and-commit pass of [`BatchAdmitter::admit_batch`]:
+/// walk proposals in commit order against the authoritative `view`,
+/// apply what still fits, replay conflicts with the per-item replay RNG
+/// stream.
+fn reconcile_proposals(
     view: &mut SystemView,
     catalog: &ServiceCatalog,
     items: &[BatchItem],

@@ -25,16 +25,14 @@ mod cache;
 mod greedy;
 mod mincost;
 mod random;
-mod shard;
 mod single;
 
 pub use batch::{BatchAdmitter, BatchItem, BatchOutcome, OrderPolicy, ReconcileStats};
 pub use greedy::GreedyComposer;
 pub use mincost::{CandidateSelection, LatencyMatrix, MinCostComposer};
 pub use random::RandomComposer;
-pub use shard::{ShardOutcome, ShardedAdmitter};
 
-use crate::model::{ExecutionGraph, ServiceCatalog, ServiceId, ServiceRequest};
+use crate::model::{ExecutionGraph, RequestError, ServiceCatalog, ServiceId, ServiceRequest};
 use crate::view::SystemView;
 use desim::SimRng;
 use simnet::NodeId;
@@ -57,6 +55,17 @@ pub enum ComposeError {
     UnknownService(ServiceId),
     /// The request's source or destination is not an alive node.
     EndpointDown(NodeId),
+    /// The request is malformed: no composition could ever carry it.
+    Malformed(RequestError),
+}
+
+impl From<RequestError> for ComposeError {
+    fn from(e: RequestError) -> Self {
+        match e {
+            RequestError::UnknownService(s) => ComposeError::UnknownService(s),
+            other => ComposeError::Malformed(other),
+        }
+    }
 }
 
 impl std::fmt::Display for ComposeError {
@@ -68,6 +77,7 @@ impl std::fmt::Display for ComposeError {
             }
             ComposeError::UnknownService(s) => write!(f, "unknown service {s}"),
             ComposeError::EndpointDown(v) => write!(f, "endpoint node {v} is down"),
+            ComposeError::Malformed(e) => write!(f, "malformed request: {e}"),
         }
     }
 }

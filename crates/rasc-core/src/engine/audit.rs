@@ -123,7 +123,6 @@ impl Auditor {
         self.check_ledger(st);
         self.check_deliveries(st);
         self.check_registry(st);
-        self.check_digest_freshness(st);
         if q.total_fired() > q.total_scheduled() {
             self.violation(format!(
                 "queue: fired {} > scheduled {}",
@@ -190,39 +189,11 @@ impl Auditor {
         self.check_ledger(st);
         self.check_deliveries(st);
         self.check_registry(st);
-        self.check_digest_freshness(st);
         debug_assert!(
             self.report.clean(),
             "audit violations: {:#?}",
             self.report.violations
         );
-    }
-
-    /// Sharded admission (`config.shards > 0`) composes cross-region
-    /// placements against a *declared-stale* residual digest, so the
-    /// auditor must not compare remote view slices against live state —
-    /// that would flag staleness the design explicitly tolerates.
-    /// What it does bound is the *declaration*: the digest may never be
-    /// older than one refresh period plus one audit period, and once a
-    /// sharded admitter exists its digest must have been captured at
-    /// least once (the engine refreshes at creation).
-    fn check_digest_freshness(&mut self, st: &EngineState) {
-        if st.draining {
-            // Teardown stops the refresh cycle by design; no admission
-            // reads the digest past this point, so its age is moot.
-            return;
-        }
-        let Some((_, adm)) = &st.sharded else { return };
-        let digest = adm.digest();
-        let bound = st.config.digest_refresh_secs.max(0.05) + st.config.audit_period_secs;
-        let age = digest.age(st.now.as_secs_f64());
-        if !age.is_finite() {
-            self.violation("digest: sharded admitter exists but digest never captured".into());
-        } else if age > bound {
-            self.violation(format!(
-                "digest: residual digest is {age:.3}s old, staleness bound is {bound:.3}s"
-            ));
-        }
     }
 
     /// Invariant 1: exact unit conservation at an event boundary.

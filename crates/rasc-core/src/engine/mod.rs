@@ -34,7 +34,7 @@ pub use wrr::{ChunkedWrr, Wrr};
 use crate::catalog::ServiceDirectory;
 use crate::compose::{
     apply_reservations, gain_prefix, BatchAdmitter, BatchItem, ComposeError, Composer,
-    ComposerKind, ProviderMap, ReconcileStats, ShardedAdmitter,
+    ComposerKind, ProviderMap, ReconcileStats,
 };
 use crate::metrics::{DropCause, RunReport, SubstreamTracker};
 use crate::model::{AppId, ExecutionGraph, ServiceCatalog, ServiceRequest};
@@ -116,20 +116,6 @@ pub struct EngineConfig {
     /// behaviour. At thousand-node scale this is the knob that keeps
     /// per-request composition cost independent of the overlay size.
     pub candidate_cap: Option<usize>,
-    /// Number of admission regions for [`Engine::submit_batch`]. `0`
-    /// (the default) runs the global single-view [`BatchAdmitter`];
-    /// `>= 1` runs the region-sharded pipeline
-    /// ([`ShardedAdmitter`](crate::compose::ShardedAdmitter)): regions
-    /// follow the topology's site assignment when it has one
-    /// (`power_law` / `datacenter_wan`), else the overlay key space,
-    /// and remote capacity reaches each shard through a periodically
-    /// refreshed residual digest. `1` is the degenerate sharding that
-    /// must reproduce the global path digest-identically.
-    pub shards: usize,
-    /// Seconds of simulated time between residual-digest refreshes
-    /// when sharded admission is on — the declared staleness bound the
-    /// auditor holds the digest to.
-    pub digest_refresh_secs: f64,
     /// Network model tunables.
     pub net: NetworkConfig,
 }
@@ -162,8 +148,6 @@ impl Default for EngineConfig {
             audit: audit_from_env(),
             audit_period_secs: 2.0,
             candidate_cap: None,
-            shards: 0,
-            digest_refresh_secs: 4.0,
             net: NetworkConfig::default(),
         }
     }
@@ -348,7 +332,6 @@ impl EngineBuilder {
             draining: false,
             latencies,
             batch: None,
-            sharded: None,
             config,
         };
         if let Some(bg) = state.config.background.clone() {
@@ -364,10 +347,6 @@ impl EngineBuilder {
         }
         if state.auditor.is_some() {
             queue.schedule(SimTime::ZERO + audit_period, Event::AuditTick);
-        }
-        if state.config.shards > 0 {
-            let period = SimDuration::from_secs_f64(state.config.digest_refresh_secs.max(0.05));
-            queue.schedule(SimTime::ZERO + period, Event::DigestRefresh);
         }
         Engine { state, queue }
     }
@@ -465,11 +444,6 @@ enum Event {
     Fault(FaultAction),
     /// Periodic auditor checkpoint (scheduled only when auditing).
     AuditTick,
-    /// Periodic residual-digest refresh for sharded admission
-    /// (scheduled only when `config.shards > 0`): the monitoring plane
-    /// re-captures every node's residual capacity into the sharded
-    /// admitter's digest.
-    DigestRefresh,
 }
 
 struct EngineState {
@@ -529,18 +503,15 @@ struct EngineState {
     /// across batches, so steady-state batch admission rebuilds flow
     /// networks inside retained buffers instead of allocating them.
     batch: Option<(usize, BatchAdmitter)>,
-    /// Lazily built region-sharded pipeline (`config.shards > 0`), keyed
-    /// by worker count like `batch`. Holds the periodically refreshed
-    /// residual-capacity digest that shard-local composers read for
-    /// remote hosts.
-    sharded: Option<(usize, ShardedAdmitter)>,
     config: EngineConfig,
 }
 
 /// What [`Engine::submit_batch`] returns: one admission result per
 /// request (index-aligned with the submitted burst) plus the reconcile
 /// accounting and the determinism digest of the underlying
-/// [`BatchOutcome`](crate::compose::BatchOutcome).
+/// [`BatchOutcome`](crate::compose::BatchOutcome). Requests refused at
+/// the admission gate appear only in `apps`: they are not composed, so
+/// `replayed`, `stats` and `digest` cover the gated-in requests alone.
 #[derive(Debug)]
 pub struct BatchSubmitReport {
     /// Per-request outcome: the installed app id, or why admission was
@@ -554,9 +525,6 @@ pub struct BatchSubmitReport {
     /// rejection — equal digests mean the same apps landed on the same
     /// hosts at the same rates, regardless of worker count.
     pub digest: u64,
-    /// Admitted requests with at least one placement outside the source's
-    /// home region. Always 0 on the global (`shards == 0`) path.
-    pub cross_shard: usize,
 }
 
 /// The RASC runtime over a simulated wide-area network.
@@ -599,14 +567,16 @@ impl Engine {
     }
 
     /// Submits a burst of requests *now* through the batch-admission
-    /// pipeline: one measured-view snapshot for the whole burst,
-    /// discovery and statistics pulls deduplicated per distinct
-    /// `(source, service)` / `(source, candidate)` pair, compositions
-    /// run optimistically on `threads` pooled workers, and winners
-    /// committed in submission order with conflict replay (see
-    /// [`BatchAdmitter`]). `threads == 0` uses the machine default
-    /// (`RASC_THREADS` / available parallelism); any positive worker
-    /// count yields the identical, digest-checked outcome.
+    /// pipeline, a [`BatchAdmitter`] over one measured-view snapshot for
+    /// the whole burst. Discovery and statistics pulls are deduplicated
+    /// per distinct `(source, service)` / `(source, candidate)` pair,
+    /// compositions run optimistically on `threads` pooled workers, and
+    /// winners are committed in submission order with conflict replay.
+    /// Requests the admission gate refuses (malformed, unknown service,
+    /// dead endpoint, draining engine) get their typed error in place
+    /// and never reach composition. `threads == 0` uses the machine
+    /// default (`RASC_THREADS` / available parallelism); any positive
+    /// worker count yields the identical, digest-checked outcome.
     pub fn submit_batch(&mut self, reqs: Vec<ServiceRequest>, threads: usize) -> BatchSubmitReport {
         let now = self.state.now;
         self.state
@@ -879,7 +849,6 @@ impl World for EngineState {
             Event::BgPulse { node } => self.handle_bg_pulse(now, node, q),
             Event::Fault(action) => self.handle_fault(now, action, q),
             Event::AuditTick => self.handle_audit_tick(now, q),
-            Event::DigestRefresh => self.handle_digest_refresh(now, q),
         }
     }
 }
@@ -894,9 +863,7 @@ impl EngineState {
             // would emit forever and the backlog could never drain.
             return Err(ComposeError::InsufficientCapacity { substream: 0 });
         }
-        if req.validate(&self.catalog).is_err() {
-            return Err(ComposeError::UnknownService(usize::MAX));
-        }
+        req.validate(&self.catalog)?;
         // A crashed (or nonexistent) source cannot route its discovery
         // lookups and nothing can be delivered to a crashed sink.
         for v in [req.source, req.destination] {
@@ -1101,30 +1068,13 @@ impl EngineState {
         let mut view = self.measured_view(now);
         let audit_backup = self.auditor.is_some().then(|| view.clone());
         let seed = self.rng.next_u64();
-        let (outcome, cross_shard) = if self.config.shards > 0 {
-            let reuse = matches!(self.sharded, Some((t, _)) if t == threads);
-            if !reuse {
-                let regions = self.region_map();
-                let mut adm = ShardedAdmitter::new(regions, threads, 0, self.worker_factory());
-                // Capture the first digest at creation so the declared
-                // staleness bound holds from the very first batch; the
-                // DigestRefresh event keeps it fresh from here on.
-                adm.refresh_digest(&view, now.as_secs_f64());
-                self.sharded = Some((threads, adm));
-            }
-            let (_, admitter) = self.sharded.as_mut().expect("just built");
-            let out = admitter.admit_batch(&mut view, &self.catalog, &items, seed);
-            (out.outcome, out.cross_shard)
-        } else {
-            let reuse = matches!(self.batch, Some((t, _)) if t == threads);
-            if !reuse {
-                let admitter = BatchAdmitter::new(threads, self.worker_factory());
-                self.batch = Some((threads, admitter));
-            }
-            let admitter = &self.batch.as_ref().expect("just built").1;
-            let outcome = admitter.admit_batch(&mut view, &self.catalog, &items, seed);
-            (outcome, 0)
-        };
+        let reuse = matches!(self.batch, Some((t, _)) if t == threads);
+        if !reuse {
+            let admitter = BatchAdmitter::new(threads, self.worker_factory());
+            self.batch = Some((threads, admitter));
+        }
+        let admitter = &self.batch.as_ref().expect("just built").1;
+        let outcome = admitter.admit_batch(&mut view, &self.catalog, &items, seed);
         let digest = outcome.digest();
         // Ledger-exactness audit: the pipeline's view must carry exactly
         // the admitted reservations on top of the snapshot it was given.
@@ -1191,13 +1141,12 @@ impl EngineState {
             replayed,
             stats,
             digest,
-            cross_shard,
         }
     }
 
-    /// The composer factory shared by both admission pipelines: every
-    /// worker builds the configured composer kind, wired to the same
-    /// latency matrix and candidate cap as the engine's own composer.
+    /// The batch pipeline's composer factory: every worker builds the
+    /// configured composer kind, wired to the same latency matrix and
+    /// candidate cap as the engine's own composer.
     fn worker_factory(&self) -> impl Fn() -> Box<dyn Composer + Send> + Send + Sync + 'static {
         let kind = self.config.composer;
         let algorithm = self.config.flow_algorithm;
@@ -1218,36 +1167,6 @@ impl EngineState {
                 other => other.build(),
             }
         }
-    }
-
-    /// Region assignment for the sharded pipeline: clustered topologies
-    /// shard along their site structure, dense ones fall back to
-    /// key-space partitioning over node ids.
-    fn region_map(&self) -> overlay::RegionMap {
-        let topo = self.net.topology();
-        match topo.site_assignment() {
-            Some(sites) => overlay::RegionMap::from_sites(sites, self.config.shards),
-            None => overlay::RegionMap::key_space(topo.len(), self.config.shards),
-        }
-    }
-
-    /// Periodic residual-digest refresh (`config.shards > 0`): captures
-    /// the current measured view into the sharded admitter's digest so
-    /// shard-local composers see remote capacity at bounded staleness.
-    fn handle_digest_refresh(&mut self, now: SimTime, q: &mut EventQueue<Event>) {
-        if self.draining {
-            // Teardown: no further admissions read the digest, and the
-            // backlog must be allowed to drain to empty.
-            return;
-        }
-        if self.sharded.is_some() {
-            let view = self.measured_view(now);
-            if let Some((_, adm)) = &mut self.sharded {
-                adm.refresh_digest(&view, now.as_secs_f64());
-            }
-        }
-        let period = SimDuration::from_secs_f64(self.config.digest_refresh_secs.max(0.05));
-        q.schedule(now + period, Event::DigestRefresh);
     }
 
     /// Sends one control-plane message and returns when it lands (drops

@@ -185,18 +185,73 @@ impl ServiceRequest {
         self.rates.iter().sum::<f64>() * self.unit_bits as f64
     }
 
-    /// Validates service ids against a catalog.
-    pub fn validate(&self, catalog: &ServiceCatalog) -> Result<(), String> {
-        for sub in &self.graph.substreams {
-            for &s in &sub.services {
-                if s >= catalog.len() {
-                    return Err(format!("unknown service id {s}"));
-                }
+    /// Checks that the request can be composed at all, whatever the
+    /// state of the system: at least one substream, no empty substream,
+    /// one positive finite rate per substream, and every service id in
+    /// `catalog`.
+    pub fn validate(&self, catalog: &ServiceCatalog) -> Result<(), RequestError> {
+        let substreams = &self.graph.substreams;
+        if substreams.is_empty() {
+            return Err(RequestError::NoSubstreams);
+        }
+        if self.rates.len() != substreams.len() {
+            return Err(RequestError::RateCount {
+                substreams: substreams.len(),
+                rates: self.rates.len(),
+            });
+        }
+        for (i, (sub, &rate)) in substreams.iter().zip(&self.rates).enumerate() {
+            if sub.services.is_empty() {
+                return Err(RequestError::EmptySubstream(i));
+            }
+            if !(rate > 0.0 && rate.is_finite()) {
+                return Err(RequestError::BadRate(i));
+            }
+            if let Some(&s) = sub.services.iter().find(|&&s| s >= catalog.len()) {
+                return Err(RequestError::UnknownService(s));
             }
         }
         Ok(())
     }
 }
+
+/// Why a [`ServiceRequest`] is malformed (see [`ServiceRequest::validate`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum RequestError {
+    /// The request graph has no substream.
+    NoSubstreams,
+    /// `rates` does not hold exactly one entry per substream.
+    RateCount {
+        /// Substreams in the request graph.
+        substreams: usize,
+        /// Entries in `rates`.
+        rates: usize,
+    },
+    /// The substream at this index names no service.
+    EmptySubstream(usize),
+    /// The rate of the substream at this index is not positive and finite.
+    BadRate(usize),
+    /// The request names a service outside the catalog.
+    UnknownService(ServiceId),
+}
+
+impl std::fmt::Display for RequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RequestError::NoSubstreams => write!(f, "request has no substream"),
+            RequestError::RateCount { substreams, rates } => {
+                write!(f, "{rates} rates for {substreams} substreams")
+            }
+            RequestError::EmptySubstream(i) => write!(f, "substream {i} names no service"),
+            RequestError::BadRate(i) => {
+                write!(f, "rate of substream {i} is not positive and finite")
+            }
+            RequestError::UnknownService(s) => write!(f, "unknown service id {s}"),
+        }
+    }
+}
+
+impl std::error::Error for RequestError {}
 
 /// One deployed component: an instance of a service on a node carrying a
 /// fraction of a substream's rate.
@@ -296,7 +351,7 @@ mod tests {
         let ok = ServiceRequest::chain(&[0, 2], 5.0, 0, 1);
         let bad = ServiceRequest::chain(&[0, 7], 5.0, 0, 1);
         assert!(ok.validate(&catalog).is_ok());
-        assert!(bad.validate(&catalog).is_err());
+        assert_eq!(bad.validate(&catalog), Err(RequestError::UnknownService(7)));
     }
 
     #[test]

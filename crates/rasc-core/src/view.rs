@@ -19,7 +19,7 @@
 //! providers without scanning the whole provider list — and provably
 //! returns the same set as the linear reference scan.
 
-use monitor::{ResidualDigest, ResourceVector};
+use monitor::ResourceVector;
 use simnet::{NodeId, Topology};
 
 /// One undo-log record: the pre-mutation value of the field it names.
@@ -368,49 +368,6 @@ impl SystemView {
     pub fn set_drop_ratio(&mut self, v: NodeId, ratio: f64) {
         assert!((0.0..=1.0).contains(&ratio), "ratio out of range: {ratio}");
         self.drop_ratio[v] = ratio;
-    }
-
-    /// Re-syncs only the listed nodes' entries from `source` — the
-    /// shard-local analogue of `clone_from`:
-    /// a shard owning `m` of `n` nodes pays `O(m)` per batch to refresh
-    /// its authoritative slice instead of `O(n)` for the whole view.
-    /// The remaining entries keep whatever the caller last put there
-    /// (typically a declared-stale digest patch).
-    pub fn sync_nodes_from(&mut self, source: &SystemView, members: &[NodeId]) {
-        assert_eq!(self.len(), source.len(), "view size mismatch");
-        assert!(
-            !self.in_transaction() && !source.in_transaction(),
-            "partial sync inside a reservation transaction"
-        );
-        for &v in members {
-            self.avail[v] = source.avail[v];
-            self.cap[v] = source.cap[v];
-            self.cpu_avail[v] = source.cpu_avail[v];
-            self.cpu_cap[v] = source.cpu_cap[v];
-            self.drop_ratio[v] = source.drop_ratio[v];
-            self.reindex(v);
-        }
-    }
-
-    /// Patches the listed nodes' availability state from a monitoring
-    /// digest of reported residuals. This is how a shard sees the rest
-    /// of the system: remote entries reflect the digest's capture time,
-    /// not the present — *declared* staleness the optimistic commit path
-    /// resolves against the authoritative view.
-    pub fn apply_residual_digest(&mut self, digest: &ResidualDigest, members: &[NodeId]) {
-        assert_eq!(self.len(), digest.len(), "digest size mismatch");
-        assert!(
-            !self.in_transaction(),
-            "digest patch inside a reservation transaction"
-        );
-        for &v in members {
-            let (in_bps, out_bps, cpu, drop) = digest.get(v);
-            self.avail[v].set(0, in_bps);
-            self.avail[v].set(1, out_bps);
-            self.cpu_avail[v] = cpu;
-            self.drop_ratio[v] = drop;
-            self.reindex(v);
-        }
     }
 
     /// `r_max(c, n)` for a component whose unit occupies `unit_bits` on

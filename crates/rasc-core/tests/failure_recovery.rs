@@ -308,3 +308,100 @@ fn hostile_fault_calls_are_no_ops() {
     assert!(e.report().delivered > 0);
     assert_eq!(e.run_digest(), twin.run_digest());
 }
+
+/// Malformed requests come back as typed errors through both `submit`
+/// and `submit_batch`, never as panics or misleading capacity refusals,
+/// and leave nothing behind: the engine ends digest-equal to a twin
+/// whose refused requests merely named a dead source instead.
+#[test]
+fn malformed_requests_are_typed_rejections() {
+    use rasc_core::compose::ComposeError;
+    use rasc_core::model::RequestError;
+    let good = ServiceRequest::multi(vec![vec![0], vec![1]], vec![6.0, 6.0], 6, 7);
+    let shape = |f: fn(&mut ServiceRequest)| {
+        let mut r = good.clone();
+        f(&mut r);
+        r
+    };
+    let malformed = |e: RequestError| Err(ComposeError::Malformed(e));
+    let cases = [
+        (
+            shape(|r| r.rates.clear()),
+            malformed(RequestError::RateCount {
+                substreams: 2,
+                rates: 0,
+            }),
+        ),
+        (
+            shape(|r| r.rates.truncate(1)),
+            malformed(RequestError::RateCount {
+                substreams: 2,
+                rates: 1,
+            }),
+        ),
+        (
+            shape(|r| r.rates[0] = -5.0),
+            malformed(RequestError::BadRate(0)),
+        ),
+        (
+            shape(|r| r.rates[1] = 0.0),
+            malformed(RequestError::BadRate(1)),
+        ),
+        (
+            shape(|r| r.rates[1] = f64::NAN),
+            malformed(RequestError::BadRate(1)),
+        ),
+        (
+            shape(|r| r.rates[0] = f64::INFINITY),
+            malformed(RequestError::BadRate(0)),
+        ),
+        (
+            shape(|r| r.graph.substreams[1].services.clear()),
+            malformed(RequestError::EmptySubstream(1)),
+        ),
+        (
+            shape(|r| {
+                r.graph.substreams.clear();
+                r.rates.clear();
+            }),
+            malformed(RequestError::NoSubstreams),
+        ),
+        (
+            shape(|r| r.graph.substreams[0].services.push(9)),
+            Err(ComposeError::UnknownService(9)),
+        ),
+    ];
+    let dead_source = ServiceRequest::chain(&[0], 6.0, 99, 7);
+
+    let (mut e, mut twin) = (engine(), engine());
+    for x in [&mut e, &mut twin] {
+        x.submit(good.clone()).unwrap();
+        x.run_for_secs(1.0);
+    }
+    let rejected = e.report().rejected;
+    for (req, want) in &cases {
+        assert_eq!(&e.submit(req.clone()), want);
+        assert_eq!(&e.submit_batch(vec![req.clone()], 1).apps[0], want);
+        let down = Err(ComposeError::EndpointDown(99));
+        assert_eq!(twin.submit(dead_source.clone()), down);
+        assert_eq!(
+            twin.submit_batch(vec![dead_source.clone()], 1).apps[0],
+            down
+        );
+    }
+    assert_eq!(e.report().rejected, rejected + 2 * cases.len() as u64);
+    // A burst mixing every malformed shape with one good request still
+    // admits the good one exactly as the twin's burst does.
+    let burst: Vec<ServiceRequest> = cases.iter().map(|(r, _)| r.clone()).collect();
+    let report = e.submit_batch([burst, vec![good.clone()]].concat(), 2);
+    assert!(report.apps.last().unwrap().is_ok());
+    let report = twin.submit_batch([vec![dead_source; cases.len()], vec![good]].concat(), 2);
+    assert!(report.apps.last().unwrap().is_ok());
+
+    for x in [&mut e, &mut twin] {
+        x.run_for_secs(3.0);
+        assert!(x.finish_run().clean());
+    }
+    assert!(e.report().delivered > 0);
+    assert_eq!(e.run_digest(), twin.run_digest());
+}

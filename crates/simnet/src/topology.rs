@@ -148,24 +148,6 @@ impl Topology {
         self.latency.storage_entries()
     }
 
-    /// Per-node cluster/site assignment when the topology uses the
-    /// clustered latency model (the `power_law` / `datacenter_wan`
-    /// generators); `None` for dense hand-sized topologies. Region
-    /// sharding partitions admission along these boundaries so that
-    /// shard-local traffic stays on low-latency intra-site paths.
-    pub fn site_assignment(&self) -> Option<&[u32]> {
-        match &self.latency {
-            LatencyModel::Dense(_) => None,
-            LatencyModel::Clustered { cluster_of, .. } => Some(cluster_of),
-        }
-    }
-
-    /// Cluster/site id of node `v`, when clustered (see
-    /// [`Topology::site_assignment`]).
-    pub fn site_of(&self, v: NodeId) -> Option<u32> {
-        self.site_assignment().map(|s| s[v])
-    }
-
     /// PlanetLab-like topology: heterogeneous capacities and wide-area
     /// latencies, deterministic in `seed`.
     ///
@@ -613,23 +595,5 @@ mod tests {
         let b = Topology::datacenter_wan(256, 4, mbps(10.0), mbps(100.0), 2);
         assert_eq!(a.spec(77), b.spec(77));
         assert_eq!(a.latency(10, 201), b.latency(10, 201));
-    }
-
-    #[test]
-    fn site_assignment_exposes_clusters_and_only_clusters() {
-        let dc = Topology::datacenter_wan(64, 4, mbps(10.0), mbps(100.0), 2);
-        let sites = dc.site_assignment().expect("clustered model");
-        assert_eq!(sites.len(), 64);
-        for (v, &site) in sites.iter().enumerate() {
-            assert_eq!(site, (v % 4) as u32);
-            assert_eq!(dc.site_of(v), Some((v % 4) as u32));
-        }
-        let pl = Topology::power_law(128, mbps(1.0), mbps(50.0), 11);
-        let sites = pl.site_assignment().expect("clustered model");
-        assert_eq!(sites.len(), 128);
-        // Dense models have no site structure to shard along.
-        let dense = Topology::uniform(8, mbps(2.0), SimDuration::from_millis(30));
-        assert!(dense.site_assignment().is_none());
-        assert_eq!(dense.site_of(0), None);
     }
 }

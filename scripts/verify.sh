@@ -53,19 +53,11 @@ cargo test -q -p mincostflow --test repair_equivalence
 # must enumerate exactly the linear reference's candidate sets across
 # topology families, mutation histories, and mid-transaction rollback
 # points; (b) batch admission must be digest-equal between one worker
-# and many, including under injected host-capacity conflicts. Named so
-# an index or reconcile change can never slip past verification.
+# and many, including under injected host-capacity conflicts, and
+# replay losers must leave the ledger bit-equal to base + admitted
+# reservations with the capacity index coherent. Named so an index or
+# reconcile change can never slip past verification.
 cargo test -q -p rasc-core --test view_index_equivalence --test batch_determinism
-
-# Region-sharded admission equivalences: (a) a one-shard sharded
-# pipeline must be digest-identical to the global batch pipeline (both
-# standalone and through Engine::submit_batch), and multi-shard
-# outcomes must be deterministic across worker counts; (b) replay
-# losers rolled back mid-transaction on digest-patched views must
-# leave the ledger and capacity index bit-equal to base + admitted
-# reservations. Named so a shard-routing, digest, or reconcile change
-# can never slip past verification.
-cargo test -q -p rasc-core --test shard_equivalence --test shard_rollback
 
 # Overlay membership equivalence: build, join, remove, owner_of and the
 # replica-group walk touch only the state a membership change can
@@ -131,9 +123,7 @@ cargo test -q -p rasc-core --test cpu_constraint
 # Entries now carry an explicit per-measurement "threads" field (the
 # effective desim::pool worker count), so the skip derives from the
 # JSON itself; the name regex stays as a fallback for older committed
-# files without the field. The admission/sharded_* units/s entries need
-# no new rule — the inverted units/s tripwire above already keys off
-# the ^admission/ prefix.
+# files without the field.
 BENCH_OUT=$(mktemp)
 cargo run --release -q --bin repro -- bench --quick | tee "$BENCH_OUT"
 CORES=$(nproc 2>/dev/null || echo 1)
