@@ -1,7 +1,7 @@
 //! Table A (ours): min-cost flow solver ablation on composition-shaped
 //! layered graphs — SPFA-SSP vs Dijkstra-SSP vs Dial's bucket-queue SSP
-//! vs Goldberg cost scaling vs capacity scaling, plus the retained
-//! warm-started solver (see `rasc_bench::instances::layered`).
+//! vs network simplex, plus the retained warm-started solver (see
+//! `rasc_bench::instances::layered`).
 
 use mincostflow::{min_cost_flow, Algorithm, FlowNetwork, FlowSolver};
 use rasc_bench::instances::{layered, layered_into};
@@ -13,8 +13,6 @@ fn main() {
             ("spfa", Algorithm::SpfaSsp),
             ("dijkstra", Algorithm::DijkstraSsp),
             ("dial", Algorithm::DialSsp),
-            ("cost-scaling", Algorithm::CostScaling),
-            ("capacity-scaling", Algorithm::CapacityScaling),
             ("simplex", Algorithm::NetworkSimplex),
         ] {
             let (mut net, src, dst, target) = layered(layers, width, 42);

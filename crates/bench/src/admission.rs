@@ -12,8 +12,7 @@
 //!   is measured against.
 //! * `batch{B}` — the [`BatchAdmitter`] pipeline at batch size `B`: one
 //!   snapshot clone per batch, per-worker solver arenas, and capped
-//!   candidate selection over the indexed view
-//!   ([`CANDIDATE_CAP`] hosts per layer via the capacity-bucket walk),
+//!   candidate selection ([`CANDIDATE_CAP`] hosts per layer),
 //!   with the serial, submission-ordered reconcile committing winners
 //!   and replaying conflicts.
 //!
@@ -49,7 +48,7 @@ pub const SIZES: [usize; 3] = [1_000, 4_000, 10_000];
 pub const BATCHES: [usize; 3] = [1, 16, 128];
 
 /// Per-layer candidate cap for the batch pipeline (top-`k` hosts by
-/// bottleneck availability, selected through the capacity index).
+/// bottleneck availability).
 pub const CANDIDATE_CAP: usize = 16;
 
 /// Services in the benchmark catalog.
@@ -130,8 +129,8 @@ fn serial_composer(sc: &AdmissionScenario) -> MinCostComposer {
     MinCostComposer::default().with_latencies(sc.latencies.clone())
 }
 
-/// A batch admitter whose worker arenas run capped, index-driven
-/// candidate selection — the thousand-node configuration.
+/// A batch admitter whose worker arenas run capped candidate
+/// selection — the thousand-node configuration.
 pub fn admitter(sc: &AdmissionScenario, threads: usize) -> BatchAdmitter {
     let latencies = sc.latencies.clone();
     BatchAdmitter::new(threads, move || {

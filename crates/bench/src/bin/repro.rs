@@ -204,8 +204,6 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
                 ("spfa", mincostflow::Algorithm::SpfaSsp),
                 ("dijkstra", mincostflow::Algorithm::DijkstraSsp),
                 ("dial", mincostflow::Algorithm::DialSsp),
-                ("cost-scaling", mincostflow::Algorithm::CostScaling),
-                ("capacity-scaling", mincostflow::Algorithm::CapacityScaling),
                 ("simplex", mincostflow::Algorithm::NetworkSimplex),
             ] {
                 let (mut net, src, dst, target) = layered(layers, width, 42);
@@ -493,7 +491,7 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
     // Thousand-node power-law overlays, concurrent tenants. The serial
     // single-request baseline (per-request snapshot clone + uncapped
     // compose) runs at 1k nodes; the batch pipeline (one snapshot per
-    // batch, capped indexed candidate selection, optimistic workers +
+    // batch, capped candidate selection, optimistic workers +
     // ordered reconcile) runs the full 1k/4k/10k curve. Rates count
     // *admitted* apps per wall second, so replays and rejections
     // penalize rather than inflate the headline.
@@ -534,9 +532,7 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
             ));
         }
 
-        // Candidate-selection kernel: the linear reference scan vs the
-        // capacity-bucket walk, at fixed provider density (p = n/16),
-        // so the linear side grows with n and the indexed side must not.
+        // Candidate-selection kernel at fixed provider density (p = n/16).
         for &n in &admission::SIZES {
             let (view, providers) = admission::selection_setup(n, 9);
             let mut out = Vec::new();
@@ -544,38 +540,7 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
                 view.select_top_candidates_linear(&providers, admission::CANDIDATE_CAP, &mut out);
                 black_box(out.len());
             }));
-            let mut out = Vec::new();
-            results.push(time(
-                quick,
-                &format!("admission/select_indexed/{n}"),
-                || {
-                    view.select_top_candidates_indexed(
-                        &providers,
-                        admission::CANDIDATE_CAP,
-                        &mut out,
-                    );
-                    black_box(out.len());
-                },
-            ));
         }
-        let ns_of = |results: &[Measurement], name: String| {
-            results
-                .iter()
-                .find(|m| m.name == name)
-                .map(|m| m.value)
-                .unwrap_or(f64::NAN)
-        };
-        // Sub-linearity headline: how many times better the indexed
-        // walk scales 1k -> 10k than the linear scan (x unit, bigger is
-        // better; > 1 means indexed grows slower than linear).
-        let growth = |kind: &str| {
-            ns_of(&results, format!("admission/select_{kind}/10000"))
-                / ns_of(&results, format!("admission/select_{kind}/1000"))
-        };
-        results.push(record_ratio(
-            "admission/select_sublinearity/10k_over_1k",
-            growth("linear") / growth("indexed"),
-        ));
 
         // Steady-state allocation gate: warm batch admission must stay
         // at a bounded, small allocation count per request (result-graph
@@ -751,14 +716,6 @@ fn bench_suite(quick: bool, filter: Option<&str>) {
             apps("batch128_pooled"),
         );
     }
-    println!(
-        "candidate selection 1k->10k growth: linear {:.1}x, indexed {:.1}x \
-         (sub-linearity ratio {:.1}x)",
-        ns_of("admission/select_linear/10000") / ns_of("admission/select_linear/1000"),
-        ns_of("admission/select_indexed/10000") / ns_of("admission/select_indexed/1000"),
-        ns_of("admission/select_sublinearity/10k_over_1k"),
-    );
-
     if quick {
         println!("quick mode: skipping BENCH_compose.json (full runs only)");
         return;

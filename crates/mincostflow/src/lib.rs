@@ -16,12 +16,8 @@
 //! * [`FlowSolver`] — a retained solver wrapper that keeps scratch buffers
 //!   and warm-starts potentials across a sequence of structurally similar
 //!   solves (the composer's per-substream graphs),
-//! * [`CostScaling`] — Goldberg's cost-scaling push–relabel algorithm
-//!   (reference [11]),
-//! * [`CapacityScaling`] — Edmonds–Karp capacity-scaling SSP in the
-//!   excess-scaling form (reference [7]),
 //! * [`NetworkSimplex`] — spanning-tree primal simplex with block-search
-//!   pivoting, the fastest solver on large composition graphs,
+//!   pivoting, whose retained basis serves the warm-basis repair tier,
 //! * [`dinic_max_flow`] — Dinic's max-flow for feasibility pre-checks,
 //! * [`validate`] — independent certification of feasibility and optimality
 //!   (flow conservation, capacity bounds, no negative residual cycle).
@@ -55,8 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod capacity_scaling;
-mod cost_scaling;
 mod dinic;
 mod network;
 mod repair;
@@ -64,8 +58,6 @@ mod simplex;
 mod ssp;
 pub mod validate;
 
-pub use capacity_scaling::CapacityScaling;
-pub use cost_scaling::CostScaling;
 pub use dinic::dinic_max_flow;
 pub use network::{EdgeId, FlowNetwork, NodeId};
 pub use repair::{RepairOutcome, RepairTier};
@@ -119,12 +111,9 @@ pub enum Algorithm {
     /// graphs; falls back to the heap per-path on wide cost spans).
     #[default]
     DialSsp,
-    /// Goldberg's cost-scaling push–relabel.
-    CostScaling,
-    /// Edmonds–Karp capacity-scaling SSP (the paper's reference [7]).
-    CapacityScaling,
-    /// Network simplex (spanning-tree pivots; fastest on the large
-    /// layered graphs, where it avoids per-path shortest-path searches).
+    /// Network simplex (spanning-tree pivots). Slower than Dial on the
+    /// composer's layered graphs; its retained basis is what the
+    /// warm-basis repair tier re-pivots.
     NetworkSimplex,
 }
 
@@ -217,14 +206,6 @@ impl FlowSolver {
             Algorithm::SpfaSsp => SspVariant::Spfa,
             Algorithm::DijkstraSsp => SspVariant::Dijkstra,
             Algorithm::DialSsp => SspVariant::Dial,
-            Algorithm::CostScaling => {
-                self.basis.invalidate();
-                return CostScaling::default().solve(net, source, sink, target);
-            }
-            Algorithm::CapacityScaling => {
-                self.basis.invalidate();
-                return CapacityScaling.solve(net, source, sink, target);
-            }
             Algorithm::NetworkSimplex => {
                 return NetworkSimplex.solve_with(&mut self.basis, net, source, sink, target);
             }
@@ -372,8 +353,6 @@ mod tests {
             Algorithm::SpfaSsp,
             Algorithm::DijkstraSsp,
             Algorithm::DialSsp,
-            Algorithm::CostScaling,
-            Algorithm::CapacityScaling,
             Algorithm::NetworkSimplex,
         ] {
             let mut net = FlowNetwork::new(2);

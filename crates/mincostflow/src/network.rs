@@ -417,8 +417,7 @@ impl FlowNetwork {
     /// Pushes `amount` along arc `a` without re-syncing the CSR capacity
     /// mirror, leaving the index marked stale. Cheaper than
     /// [`push`](Self::push) for solvers that read capacities straight from
-    /// `arcs` and invalidate the index when they finish anyway (network
-    /// simplex pops its super-arc, which dirties the CSR regardless).
+    /// `arcs` (network simplex); the next CSR reader rebuilds the index.
     #[inline]
     pub(crate) fn push_unmirrored(&mut self, a: usize, amount: i64) {
         debug_assert!(amount >= 0 && amount <= self.arcs[a].cap);
@@ -426,19 +425,6 @@ impl FlowNetwork {
         self.arcs[a ^ 1].cap += amount;
         self.csr_dirty = true;
         self.flow_dirty = true;
-    }
-
-    /// Removes the most recently added user edge. Only valid when it *is*
-    /// the last one added; used internally to retract temporary super-arcs.
-    pub(crate) fn pop_last_edge(&mut self) {
-        assert!(self.arcs.len() >= 2, "no edge to pop");
-        self.arcs.pop();
-        let fwd = self.arcs.pop().expect("arc pair");
-        if fwd.cost < 0 {
-            self.neg_edges -= 1;
-        }
-        self.original_cap.pop();
-        self.csr_dirty = true;
     }
 }
 
@@ -534,14 +520,10 @@ mod tests {
     }
 
     #[test]
-    fn csr_survives_reset_and_pop() {
+    fn csr_survives_reset() {
         let mut net = FlowNetwork::new(2);
         net.add_edge(0, 1, 1, 5);
         net.ensure_csr();
-        net.pop_last_edge();
-        net.ensure_csr();
-        assert!(net.out_arcs(0).is_empty());
-        assert!(net.out_arcs(1).is_empty());
         net.reset(3);
         net.add_edge(2, 0, 4, 1);
         net.ensure_csr();

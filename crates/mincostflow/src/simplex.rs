@@ -1147,7 +1147,7 @@ mod tests {
     #[test]
     fn agrees_with_ssp_on_random_grids() {
         // Deterministic xorshift instances; same generator as the
-        // cost-scaling agreement test.
+        // SSP agreement tests.
         let build = |seed: u64| {
             let mut net = FlowNetwork::new(16);
             let mut x = seed;

@@ -109,42 +109,32 @@ fn ssp_variants_agree_and_validate() {
     }
 }
 
-/// Cost scaling and capacity scaling agree with SSP on arbitrary
-/// instances, and their flows pass independent validation.
+/// Network simplex agrees with SSP on arbitrary instances, and its
+/// flows pass independent validation.
 #[test]
-fn scaling_solvers_agree_with_ssp() {
+fn simplex_agrees_with_ssp() {
     let mut rng = SimRng::new(0x5CA1);
     for case in 0..256u32 {
         let inst = random_instance(&mut rng, 7);
         let sink = inst.n - 1;
         let mut a = build(&inst);
         let ra = min_cost_flow(&mut a, 0, sink, inst.target, Algorithm::DijkstraSsp);
-        for alg in [
-            Algorithm::CostScaling,
-            Algorithm::CapacityScaling,
-            Algorithm::NetworkSimplex,
-        ] {
-            let mut b = build(&inst);
-            let rb = min_cost_flow(&mut b, 0, sink, inst.target, alg);
-            match (&ra, &rb) {
-                (Ok(x), Ok(y)) => {
-                    assert_eq!(x, y, "case {case}: {alg:?}");
-                    assert!(
-                        validate::check_flow(&b, 0, sink, y.flow).is_empty(),
-                        "case {case}: {alg:?}"
-                    );
-                    assert_eq!(
-                        validate::check_optimality(&b),
-                        Ok(()),
-                        "case {case}: {alg:?}"
-                    );
-                }
-                (Err(x), Err(y)) => {
-                    assert_eq!(x.max_flow, y.max_flow, "case {case}: {alg:?}");
-                    assert_eq!(x.cost, y.cost, "case {case}: {alg:?}");
-                }
-                other => panic!("case {case}: solver disagreement ({alg:?}): {other:?}"),
+        let mut b = build(&inst);
+        let rb = min_cost_flow(&mut b, 0, sink, inst.target, Algorithm::NetworkSimplex);
+        match (&ra, &rb) {
+            (Ok(x), Ok(y)) => {
+                assert_eq!(x, y, "case {case}");
+                assert!(
+                    validate::check_flow(&b, 0, sink, y.flow).is_empty(),
+                    "case {case}"
+                );
+                assert_eq!(validate::check_optimality(&b), Ok(()), "case {case}");
             }
+            (Err(x), Err(y)) => {
+                assert_eq!(x.max_flow, y.max_flow, "case {case}");
+                assert_eq!(x.cost, y.cost, "case {case}");
+            }
+            other => panic!("case {case}: solver disagreement: {other:?}"),
         }
     }
 }
@@ -256,8 +246,6 @@ fn warm_start_matches_fresh_solves() {
         Algorithm::SpfaSsp,
         Algorithm::DijkstraSsp,
         Algorithm::DialSsp,
-        Algorithm::CostScaling,
-        Algorithm::CapacityScaling,
         Algorithm::NetworkSimplex,
     ] {
         let mut rng = SimRng::new(0x3A21);

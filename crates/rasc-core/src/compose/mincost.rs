@@ -164,9 +164,6 @@ struct Scratch {
     last_meta: Option<SolveMeta>,
     /// Capped candidate set of the layer being wired (reused buffer).
     selected: Vec<simnet::NodeId>,
-    /// Sorted copy of an unsorted provider list (selection needs
-    /// ascending ids for its binary-search membership test).
-    sorted_hosts: Vec<simnet::NodeId>,
 }
 
 /// What [`CachedSubstream`] needs beyond the arena itself.
@@ -174,21 +171,6 @@ struct Scratch {
 struct SolveMeta {
     layers: Vec<Vec<(mincostflow::EdgeId, simnet::NodeId)>>,
     host_costs: Vec<(simnet::NodeId, i64)>,
-}
-
-/// Which top-k implementation trims candidate sets when
-/// [`MinCostComposer::candidate_cap`] is set. Both produce identical
-/// candidate sets (`SystemView::select_top_candidates_{indexed,linear}`
-/// share one exact ranking); `Linear` exists as the reference the
-/// equivalence suite compares against.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CandidateSelection {
-    /// Capacity-bucket walk — candidate enumeration independent of the
-    /// node count at fixed provider density.
-    #[default]
-    Indexed,
-    /// Full provider scan (the reference implementation).
-    Linear,
 }
 
 /// The RASC composer.
@@ -199,14 +181,12 @@ pub struct MinCostComposer {
     /// Optional link latencies; when present, transfer edges carry a
     /// small latency-proportional cost (see [`LATENCY_WEIGHT`]).
     pub latencies: Option<Arc<LatencyMatrix>>,
-    /// When set, each layer considers only the `k` providers with the
-    /// most remaining bottleneck bandwidth instead of all of them —
-    /// the knob that keeps composition cost independent of topology
-    /// size at 1k–10k nodes. `None` (the default) preserves the
-    /// classic consider-everyone behaviour exactly.
+    /// When set, each layer keeps only the `k` providers with the most
+    /// remaining bottleneck bandwidth (one scan of the provider list, see
+    /// `SystemView::select_top_candidates_linear`), which bounds the flow
+    /// graph at `k` hosts per layer however many providers a service
+    /// has. `None` (the default) keeps every provider.
     pub candidate_cap: Option<usize>,
-    /// How the cap is computed (equivalence-suite hook).
-    pub selection: CandidateSelection,
     /// Whether successful solves are snapshotted for incremental repair
     /// (copying the arena's arcs per substream). Batch-worker arenas turn this
     /// off — see [`Composer::set_retention`].
@@ -222,7 +202,6 @@ impl Default for MinCostComposer {
             algorithm: Algorithm::default(),
             latencies: None,
             candidate_cap: None,
-            selection: CandidateSelection::default(),
             retain_solves: true,
             scratch: Scratch::default(),
             cache: CompositionCache::default(),
@@ -457,10 +436,8 @@ impl MinCostComposer {
             solver,
             last_meta,
             selected,
-            sorted_hosts,
         } = &mut self.scratch;
         let candidate_cap = self.candidate_cap;
-        let selection = self.selection;
         let retain_solves = self.retain_solves;
         *last_meta = None;
         net.reset(2);
@@ -495,23 +472,11 @@ impl MinCostComposer {
             // same substream, so both see the same candidate set.
             let hosts: &[simnet::NodeId] = match candidate_cap {
                 Some(k) if all_hosts.len() > k => {
-                    let sorted: &[simnet::NodeId] = if all_hosts.windows(2).all(|w| w[0] < w[1]) {
-                        all_hosts
-                    } else {
-                        sorted_hosts.clear();
-                        sorted_hosts.extend_from_slice(all_hosts);
-                        sorted_hosts.sort_unstable();
-                        sorted_hosts.dedup();
-                        sorted_hosts
-                    };
-                    match selection {
-                        CandidateSelection::Indexed => {
-                            view.select_top_candidates_indexed(sorted, k, selected)
-                        }
-                        CandidateSelection::Linear => {
-                            view.select_top_candidates_linear(sorted, k, selected)
-                        }
-                    }
+                    debug_assert!(
+                        is_duplicate_free(all_hosts),
+                        "provider lists are duplicate-free (DHT lookups read a set)"
+                    );
+                    view.select_top_candidates_linear(all_hosts, k, selected);
                     selected
                 }
                 _ => all_hosts,
@@ -631,6 +596,13 @@ impl MinCostComposer {
         }
         Ok(stages)
     }
+}
+
+/// Whether `hosts` names no node twice (debug check on provider lists).
+fn is_duplicate_free(hosts: &[simnet::NodeId]) -> bool {
+    let mut sorted = hosts.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).all(|w| w[0] != w[1])
 }
 
 #[inline]
@@ -1043,12 +1015,8 @@ mod tests {
         };
         let a = run(Algorithm::DijkstraSsp).unwrap();
         let b = run(Algorithm::SpfaSsp).unwrap();
-        let c = run(Algorithm::CostScaling).unwrap();
         let d = run(Algorithm::DialSsp).unwrap();
-        let e = run(Algorithm::CapacityScaling).unwrap();
         assert!((a - b).abs() < 1e-6);
-        assert!((a - c).abs() < 1e-6);
         assert!((a - d).abs() < 1e-6);
-        assert!((a - e).abs() < 1e-6);
     }
 }

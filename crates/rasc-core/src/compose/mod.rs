@@ -29,7 +29,7 @@ mod single;
 
 pub use batch::{BatchAdmitter, BatchItem, BatchOutcome, OrderPolicy, ReconcileStats};
 pub use greedy::GreedyComposer;
-pub use mincost::{CandidateSelection, LatencyMatrix, MinCostComposer};
+pub use mincost::{LatencyMatrix, MinCostComposer};
 pub use random::RandomComposer;
 
 use crate::model::{ExecutionGraph, RequestError, ServiceCatalog, ServiceId, ServiceRequest};

@@ -109,12 +109,12 @@ pub struct EngineConfig {
     /// Seconds of simulated time between audit checkpoints.
     pub audit_period_secs: f64,
     /// Caps the per-layer candidate-host set the MinCost composer feeds
-    /// its flow network (ranked by remaining per-direction bandwidth;
+    /// its flow network (ranked by remaining bottleneck bandwidth;
     /// see [`MinCostComposer::with_candidate_cap`]
     /// (crate::compose::MinCostComposer::with_candidate_cap)). `None`
-    /// considers every discovered provider — the exact legacy
-    /// behaviour. At thousand-node scale this is the knob that keeps
-    /// per-request composition cost independent of the overlay size.
+    /// considers every discovered provider. At thousand-node scale the
+    /// cap bounds each flow graph at `k` hosts per layer; selecting
+    /// those hosts still scans every discovered provider.
     pub candidate_cap: Option<usize>,
     /// Network model tunables.
     pub net: NetworkConfig,

@@ -11,13 +11,10 @@
 //! composition algorithms read the same snapshot, so they face identical
 //! capacity constraints.
 //!
-//! At thousand-node scale the view also answers *which hosts are worth
-//! considering*: a per-direction capacity-bucketed index (power-of-two
-//! buckets over remaining bandwidth, kept coherent through every
-//! mutation and rollback) lets [`select_top_candidates_indexed`]
-//! (SystemView::select_top_candidates_indexed) return the best-k
-//! providers without scanning the whole provider list — and provably
-//! returns the same set as the linear reference scan.
+//! Under a candidate cap the view also answers *which hosts are worth
+//! considering*: [`select_top_candidates_linear`]
+//! (SystemView::select_top_candidates_linear) keeps the `k` providers
+//! with the most bottleneck bandwidth.
 
 use monitor::ResourceVector;
 use simnet::{NodeId, Topology};
@@ -32,98 +29,14 @@ enum Undo {
     Cpu(NodeId, f64),
 }
 
-/// Power-of-two capacity buckets. Bucket 0 holds availabilities below
-/// 1 bit/s (effectively exhausted); bucket `b ≥ 1` holds values in
-/// `[2^(b-1), 2^b)`. 64 buckets cover every bandwidth up to ~4.6e18
-/// bits/s; anything larger clamps into the top bucket.
-const NBUCKETS: usize = 64;
-
-/// Bucket of availability `a` (see [`NBUCKETS`]).
-fn bucket_of_value(a: f64) -> usize {
-    if a < 1.0 {
-        0
-    } else {
-        // floor(log2 a) via the IEEE-754 exponent; exact for a >= 1.
-        let e = ((a.to_bits() >> 52) & 0x7FF) as usize - 1023;
-        (e + 1).min(NBUCKETS - 1)
-    }
-}
-
-/// One direction's bucket index: node ids grouped by the power-of-two
-/// bucket of their remaining bandwidth, with `O(1)` swap-remove moves.
-/// Bucket-internal order is history-dependent (swap-remove), so the
-/// index never participates in `PartialEq` — only the multiset of
-/// (node, bucket) pairs is meaningful, and that is a pure function of
-/// `avail`.
-#[derive(Debug, Default)]
-struct DirIndex {
-    buckets: Vec<Vec<u32>>,
-    bucket_of: Vec<u8>,
-    pos: Vec<u32>,
-}
-
-impl Clone for DirIndex {
-    fn clone(&self) -> Self {
-        DirIndex {
-            buckets: self.buckets.clone(),
-            bucket_of: self.bucket_of.clone(),
-            pos: self.pos.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        // `Vec::clone_from` recurses into the per-bucket vectors, so a
-        // pooled index re-synced every batch stops allocating once its
-        // buckets have grown to their working size.
-        self.buckets.clone_from(&source.buckets);
-        self.bucket_of.clone_from(&source.bucket_of);
-        self.pos.clone_from(&source.pos);
-    }
-}
-
-impl DirIndex {
-    fn build(vals: impl ExactSizeIterator<Item = f64>) -> Self {
-        let mut idx = DirIndex {
-            buckets: vec![Vec::new(); NBUCKETS],
-            bucket_of: Vec::with_capacity(vals.len()),
-            pos: Vec::with_capacity(vals.len()),
-        };
-        for (v, a) in vals.enumerate() {
-            let b = bucket_of_value(a);
-            idx.bucket_of.push(b as u8);
-            idx.pos.push(idx.buckets[b].len() as u32);
-            idx.buckets[b].push(v as u32);
-        }
-        idx
-    }
-
-    fn update(&mut self, v: NodeId, val: f64) {
-        let b = bucket_of_value(val);
-        let old = self.bucket_of[v] as usize;
-        if old == b {
-            return;
-        }
-        let p = self.pos[v] as usize;
-        let bucket = &mut self.buckets[old];
-        bucket.swap_remove(p);
-        if let Some(&moved) = bucket.get(p) {
-            self.pos[moved as usize] = p as u32;
-        }
-        self.bucket_of[v] = b as u8;
-        self.pos[v] = self.buckets[b].len() as u32;
-        self.buckets[b].push(v as u32);
-    }
-}
-
 /// Per-node availability snapshot used by the composers.
 ///
 /// `PartialEq` compares the availability state bit-for-bit (floats by
 /// exact equality) — this is deliberate: the auditor's rollback-exactness
 /// check asserts that a rejected composition leaves the view *bit-equal*
 /// to its pre-compose snapshot, not merely approximately restored. The
-/// capacity index and the transaction journal are excluded: the index is
-/// derived state whose bucket-internal order is history-dependent, and
-/// audited comparisons happen outside transactions.
+/// transaction journal is excluded: audited comparisons happen outside
+/// transactions.
 #[derive(Debug)]
 pub struct SystemView {
     /// Remaining (unreserved) capacity per node: `[b_in, b_out]` bits/s.
@@ -150,9 +63,6 @@ pub struct SystemView {
     /// transactions nest (a batch admitter wraps whole compositions —
     /// which open their own transactions — in an outer one it unwinds).
     marks: Vec<usize>,
-    /// Per-direction capacity bucket index over `avail`.
-    in_index: DirIndex,
-    out_index: DirIndex,
 }
 
 impl Clone for SystemView {
@@ -165,17 +75,15 @@ impl Clone for SystemView {
             drop_ratio: self.drop_ratio.clone(),
             journal: self.journal.clone(),
             marks: self.marks.clone(),
-            in_index: self.in_index.clone(),
-            out_index: self.out_index.clone(),
         }
     }
 
     /// Re-syncs an existing view to `source` while reusing every heap
     /// buffer. Resource vectors are inline, so a fresh `clone()` already
-    /// allocates only once per field and once per non-empty capacity
-    /// bucket, whatever the node count; `clone_from` onto a same-sized
-    /// view allocates nothing once those buckets have grown to their
-    /// working size. The batch admitter leans on this: pooled worker
+    /// allocates only once per field, whatever the node count;
+    /// `clone_from` onto a same-sized view allocates nothing once the
+    /// journal has grown to its working size. The batch admitter leans
+    /// on this: pooled worker
     /// views are re-synced to each batch's base snapshot instead of
     /// being re-cloned.
     fn clone_from(&mut self, source: &Self) {
@@ -186,8 +94,6 @@ impl Clone for SystemView {
         self.drop_ratio.clone_from(&source.drop_ratio);
         self.journal.clone_from(&source.journal);
         self.marks.clone_from(&source.marks);
-        self.in_index.clone_from(&source.in_index);
-        self.out_index.clone_from(&source.out_index);
     }
 }
 
@@ -221,8 +127,6 @@ impl SystemView {
                 ResourceVector::bandwidth(s.bw_in * headroom, s.bw_out * headroom)
             })
             .collect();
-        let in_index = DirIndex::build(cap.iter().map(|rv| rv.get(0)));
-        let out_index = DirIndex::build(cap.iter().map(|rv| rv.get(1)));
         SystemView {
             avail: cap.clone(),
             drop_ratio: vec![0.0; topology.len()],
@@ -231,8 +135,6 @@ impl SystemView {
             cap,
             journal: Vec::new(),
             marks: Vec::new(),
-            in_index,
-            out_index,
         }
     }
 
@@ -268,10 +170,7 @@ impl SystemView {
         let mark = self.marks.pop().expect("no open transaction");
         while self.journal.len() > mark {
             match self.journal.pop().unwrap() {
-                Undo::Avail(v, rv) => {
-                    self.avail[v] = rv;
-                    self.reindex(v);
-                }
+                Undo::Avail(v, rv) => self.avail[v] = rv,
                 Undo::Cpu(v, c) => self.cpu_avail[v] = c,
             }
         }
@@ -292,12 +191,6 @@ impl SystemView {
         if !self.marks.is_empty() {
             self.journal.push(Undo::Cpu(v, self.cpu_avail[v]));
         }
-    }
-
-    /// Re-files node `v` in the capacity index after an `avail` change.
-    fn reindex(&mut self, v: NodeId) {
-        self.in_index.update(v, self.avail[v].get(0));
-        self.out_index.update(v, self.avail[v].get(1));
     }
 
     /// Enables the CPU dimension for node `v` with `cores` of admittable
@@ -402,7 +295,6 @@ impl SystemView {
         self.log_avail(v);
         let per_unit = Self::per_unit(unit_bits, rate_ratio);
         self.avail[v].consume(&per_unit, rate);
-        self.reindex(v);
     }
 
     /// Reserves the CPU of a component processing `rate` du/s at
@@ -419,7 +311,6 @@ impl SystemView {
         self.log_avail(v);
         let per_unit = Self::per_unit(unit_bits, rate_ratio);
         self.avail[v].release(&per_unit, rate);
-        self.reindex(v);
     }
 
     /// Deducts *measured* traffic (bits/s, from the throughput meters)
@@ -430,21 +321,18 @@ impl SystemView {
     pub fn consume_measured(&mut self, v: NodeId, in_bps: f64, out_bps: f64) {
         self.log_avail(v);
         self.avail[v].consume(&ResourceVector::bandwidth(in_bps, out_bps), 1.0);
-        self.reindex(v);
     }
 
     /// Reserves source-side output bandwidth (the origin emits at `rate`).
     pub fn reserve_source(&mut self, v: NodeId, unit_bits: u64, rate: f64) {
         self.log_avail(v);
         self.avail[v].consume(&ResourceVector::bandwidth(0.0, unit_bits as f64), rate);
-        self.reindex(v);
     }
 
     /// Reserves destination-side input bandwidth.
     pub fn reserve_destination(&mut self, v: NodeId, unit_bits: u64, rate: f64) {
         self.log_avail(v);
         self.avail[v].consume(&ResourceVector::bandwidth(unit_bits as f64, 0.0), rate);
-        self.reindex(v);
     }
 
     /// Remaining output-side rate capacity of `v` in du/s.
@@ -467,10 +355,11 @@ impl SystemView {
         self.avail[v].get(0).min(self.avail[v].get(1))
     }
 
-    /// Reference top-k selection: scans every provider, ranks by
+    /// Top-k candidate selection: ranks every provider by
     /// ([`candidate_metric`](Self::candidate_metric) descending, node id
-    /// ascending), returns the best `k` sorted by node id. `O(p log p)`
-    /// in the provider count.
+    /// ascending) and returns the best `k` sorted by node id. A partial
+    /// selection (`select_nth_unstable_by`) finds the cut in `O(p)`, then
+    /// only the `k` winners are sorted, by id.
     pub fn select_top_candidates_linear(
         &self,
         providers: &[NodeId],
@@ -485,106 +374,36 @@ impl SystemView {
             .iter()
             .map(|&v| (self.candidate_metric(v), v))
             .collect();
-        Self::rank_and_emit(&mut scored, k, out);
+        if k < scored.len() {
+            scored.select_nth_unstable_by(k - 1, |a, b| {
+                b.0.partial_cmp(&a.0)
+                    .expect("availability is never NaN")
+                    .then(a.1.cmp(&b.1))
+            });
+            scored.truncate(k);
+        }
+        out.extend(scored.iter().map(|&(_, v)| v));
+        out.sort_unstable();
     }
 
-    /// Indexed top-k selection: walks the capacity buckets from the
-    /// highest down, collecting providers whose *joint* bucket (the
-    /// bucket of their bottleneck direction) is the one being visited,
-    /// and stops as soon as `k` candidates are in hand — every
-    /// still-unvisited provider's metric is then strictly below the
-    /// current bucket's lower bound, hence below all `k` collected
-    /// metrics, so the exact final ranking cannot involve it. Returns
-    /// exactly the [linear](Self::select_top_candidates_linear) result.
-    ///
-    /// `providers` must be sorted ascending (membership is a binary
-    /// search). Cost: `O(scanned × log p + k log k)` where `scanned`
-    /// stops growing once `k` providers are found — with provider
-    /// density `p/n` roughly constant across topology sizes, that is
-    /// independent of the node count, where the linear scan is `O(p)`
-    /// with `p ∝ n`.
+    /// Former name of [`select_top_candidates_linear`]
+    /// (Self::select_top_candidates_linear), kept for the frozen
+    /// benchmark's replay; it returns the same set.
+    #[doc(hidden)]
     pub fn select_top_candidates_indexed(
         &self,
         providers: &[NodeId],
         k: usize,
         out: &mut Vec<NodeId>,
     ) {
-        debug_assert!(
-            providers.windows(2).all(|w| w[0] < w[1]),
-            "providers must be sorted ascending without duplicates"
-        );
-        out.clear();
-        if k == 0 || providers.is_empty() {
-            return;
-        }
-        let mut scored: Vec<(f64, NodeId)> = Vec::with_capacity(k.min(providers.len()) * 2);
-        for b in (0..NBUCKETS).rev() {
-            // Joint-bucket-b members: bottleneck direction files here,
-            // the other direction at b or above. Nodes with both
-            // directions in b come from the in-walk only (the out-walk
-            // requires strictly-greater in-bucket), so nothing repeats.
-            for &v in &self.in_index.buckets[b] {
-                let v = v as usize;
-                if self.out_index.bucket_of[v] as usize >= b && providers.binary_search(&v).is_ok()
-                {
-                    scored.push((self.candidate_metric(v), v));
-                }
-            }
-            for &v in &self.out_index.buckets[b] {
-                let v = v as usize;
-                if self.in_index.bucket_of[v] as usize > b && providers.binary_search(&v).is_ok() {
-                    scored.push((self.candidate_metric(v), v));
-                }
-            }
-            if scored.len() >= k {
-                break;
-            }
-        }
-        Self::rank_and_emit(&mut scored, k, out);
-    }
-
-    /// Shared tail of both selections: exact (metric desc, id asc)
-    /// ranking, truncate to `k`, emit sorted by id.
-    fn rank_and_emit(scored: &mut Vec<(f64, NodeId)>, k: usize, out: &mut Vec<NodeId>) {
-        scored.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .expect("availability is never NaN")
-                .then(a.1.cmp(&b.1))
-        });
-        scored.truncate(k);
-        out.extend(scored.iter().map(|&(_, v)| v));
-        out.sort_unstable();
-    }
-
-    /// Validates the capacity index against a from-scratch rebuild
-    /// (test/audit hook): every node filed in the bucket of its current
-    /// availability, positions consistent.
-    #[doc(hidden)]
-    pub fn check_index_coherence(&self) {
-        for (dir, idx) in [(0, &self.in_index), (1, &self.out_index)] {
-            let mut seen = 0usize;
-            for (b, bucket) in idx.buckets.iter().enumerate() {
-                for (p, &v) in bucket.iter().enumerate() {
-                    let v = v as usize;
-                    assert_eq!(idx.bucket_of[v] as usize, b, "bucket_of mismatch at {v}");
-                    assert_eq!(idx.pos[v] as usize, p, "pos mismatch at {v}");
-                    assert_eq!(
-                        bucket_of_value(self.avail[v].get(dir)),
-                        b,
-                        "node {v} filed in stale bucket (dir {dir})"
-                    );
-                    seen += 1;
-                }
-            }
-            assert_eq!(seen, self.len(), "index lost or duplicated nodes");
-        }
+        self.select_top_candidates_linear(providers, k, out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::{SimDuration, SimRng};
+    use desim::SimDuration;
     use simnet::Topology;
 
     fn view() -> SystemView {
@@ -672,7 +491,6 @@ mod tests {
         assert!(!v.in_transaction());
         assert!((v.in_rate_capacity(0, 8192) - before_in).abs() < 1e-12);
         assert!((v.out_rate_capacity(1, 8192) - before_out).abs() < 1e-12);
-        v.check_index_coherence();
     }
 
     #[test]
@@ -725,56 +543,11 @@ mod tests {
         v.rollback_transaction();
         assert!(!v.in_transaction());
         assert!(v == base, "outer rollback must restore the base state");
-        v.check_index_coherence();
     }
 
     #[test]
     #[should_panic(expected = "no open transaction")]
     fn rollback_without_begin_panics() {
         view().rollback_transaction();
-    }
-
-    #[test]
-    fn index_stays_coherent_under_random_churn() {
-        let topo = Topology::planetlab_like(48, 300_000.0, 3_000_000.0, 5);
-        let mut v = SystemView::fresh(&topo);
-        let mut rng = SimRng::new(17);
-        for step in 0..600 {
-            let node = rng.range_u64(0, 48) as usize;
-            match step % 5 {
-                0 => v.reserve_component(node, 8192, 1.0, rng.f64() * 40.0),
-                1 => v.consume_measured(node, rng.f64() * 1e5, rng.f64() * 1e5),
-                2 => v.release_component(node, 8192, 1.0, rng.f64() * 40.0),
-                3 => v.reserve_source(node, 8192, rng.f64() * 20.0),
-                _ => v.reserve_destination(node, 8192, rng.f64() * 20.0),
-            }
-            if step % 7 == 0 {
-                v.begin_transaction();
-                v.reserve_component(node, 8192, 1.0, 1e9);
-                v.rollback_transaction();
-            }
-        }
-        v.check_index_coherence();
-    }
-
-    #[test]
-    fn indexed_selection_matches_linear_reference() {
-        let topo = Topology::planetlab_like(96, 300_000.0, 3_000_000.0, 9);
-        let mut v = SystemView::fresh(&topo);
-        let mut rng = SimRng::new(23);
-        // Dirty the view so metrics are heterogeneous.
-        for _ in 0..200 {
-            let node = rng.range_u64(0, 96) as usize;
-            v.consume_measured(node, rng.f64() * 2e6, rng.f64() * 2e6);
-        }
-        let mut providers: Vec<usize> = rng.sample_indices(96, 40);
-        providers.sort_unstable();
-        let (mut lin, mut idx) = (Vec::new(), Vec::new());
-        for k in [0, 1, 3, 16, 40, 64] {
-            v.select_top_candidates_linear(&providers, k, &mut lin);
-            v.select_top_candidates_indexed(&providers, k, &mut idx);
-            assert_eq!(lin, idx, "selection diverged at k={k}");
-            assert_eq!(lin.len(), k.min(providers.len()));
-        }
     }
 }

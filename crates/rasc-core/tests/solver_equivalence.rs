@@ -1,6 +1,6 @@
 //! Cross-solver equivalence: the min-cost composer must make the same
 //! admit/reject decision — and produce equally cheap compositions — no
-//! matter which of the five `mincostflow` engines solves the layered
+//! matter which of the three SSP engines solves the layered
 //! composition graph. Instances are randomized via `desim::SimRng` and
 //! reproduce from the case number in the assertion message.
 
@@ -11,12 +11,10 @@ use rasc_core::model::{ExecutionGraph, ServiceCatalog, ServiceRequest};
 use rasc_core::view::SystemView;
 use simnet::{kbps, Topology};
 
-const ALGORITHMS: [Algorithm; 5] = [
+const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::DijkstraSsp,
     Algorithm::DialSsp,
     Algorithm::SpfaSsp,
-    Algorithm::CostScaling,
-    Algorithm::CapacityScaling,
 ];
 
 struct Instance {
@@ -75,7 +73,7 @@ fn drop_cost(graph: &ExecutionGraph, view: &SystemView) -> f64 {
         .sum()
 }
 
-/// All five flow engines admit the same requests, and admitted
+/// All three SSP engines admit the same requests, and admitted
 /// compositions are equally cheap (within the tolerance that integer
 /// scaling plus the secondary utilization/latency terms allow).
 #[test]

@@ -49,15 +49,17 @@ cargo test -q -p mincostflow --test basis_equivalence
 # verification.
 cargo test -q -p mincostflow --test repair_equivalence
 
-# Thousand-node admission equivalences: (a) the capacity-bucket index
-# must enumerate exactly the linear reference's candidate sets across
-# topology families, mutation histories, and mid-transaction rollback
-# points; (b) batch admission must be digest-equal between one worker
-# and many, including under injected host-capacity conflicts, and
-# replay losers must leave the ledger bit-equal to base + admitted
-# reservations with the capacity index coherent. Named so an index or
-# reconcile change can never slip past verification.
-cargo test -q -p rasc-core --test view_index_equivalence --test batch_determinism
+# Thousand-node admission checks: (a) top-k candidate selection must
+# return exactly what a naive full sort returns — (bottleneck bandwidth
+# desc, id asc), first k, by id — on sorted and shuffled provider lists
+# across topology families (one where every metric ties), mutation
+# histories, and every mid-transaction rollback point; (b) batch
+# admission must be digest-equal between one worker and many,
+# including under injected host-capacity conflicts, and replay losers
+# must leave the ledger bit-equal to base + admitted reservations.
+# Named so a selection or reconcile change can never slip past
+# verification.
+cargo test -q -p rasc-core --test candidate_selection --test batch_determinism
 
 # Overlay membership equivalence: build, join, remove, owner_of and the
 # replica-group walk touch only the state a membership change can
@@ -174,9 +176,6 @@ if [ -f BENCH_compose.json ]; then
       printf "verify: WARNING %s moved from committed %.2f to %.2f (an exact count)\n", \
           $1, base[$1], $2
     }
-    # (admission/select_sublinearity is deliberately not diffed: a
-    # ratio of two 3-sample quick-mode timings is too noisy to compare
-    # against the committed full-run value without false positives.)
     $3 == "x" && $1 ~ /^adapt\/basis_/ && !scaling_skip($1) {
       if (unit[$1] == "x" && base[$1] > 0 && $2 < base[$1] / 2)
         printf "verify: WARNING %s speedup fell to %.2fx of committed (%.1fx -> %.1fx)\n", \

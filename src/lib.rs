@@ -15,7 +15,7 @@
 //! | [`sim`] | `desim` | deterministic discrete-event kernel |
 //! | [`net`] | `simnet` | wide-area network substrate (NICs, topologies) |
 //! | [`pastry`] | `overlay` | Pastry DHT: routing, discovery, replication |
-//! | [`flow`] | `mincostflow` | min-cost flow solvers (SSP, cost scaling) |
+//! | [`flow`] | `mincostflow` | min-cost flow solvers (SSP, network simplex) |
 //! | [`monitoring`] | `monitor` | windows, meters, resource vectors (§3.2) |
 //! | [`scheduling`] | `sched` | LLF/EDF/FIFO data-unit schedulers (§3.4) |
 //! | [`core`] | `rasc-core` | the system: model, composition, runtime |
