@@ -24,9 +24,9 @@
 //! not scaling, and is annotated accordingly (see
 //! [`Measurement::note`](crate::microbench::Measurement)).
 //!
-//! [`serial_work_counts`] adds two exact counts of the engine's own
-//! serial submit path: heap allocations per submit and retained repair
-//! bytes per admitted app.
+//! [`serial_work_counts`] adds three exact counts of the engine's own
+//! serial submit path: heap allocations per submit, retained repair
+//! bytes per admitted app, and latency-model evaluations per submit.
 
 use crate::microbench::{count_allocations, record_rate, record_value, Measurement};
 use desim::SimRng;
@@ -253,13 +253,29 @@ const SERIAL_SUBMITS: usize = 64;
 ///   counting allocator `repro` installs;
 /// * `adapt/retained_bytes_per_app/<n>` — the bytes of repair state the
 ///   composer retains per admitted app
-///   ([`Engine::retained_bytes`](rasc_core::engine::Engine::retained_bytes)).
+///   ([`Engine::retained_bytes`](rasc_core::engine::Engine::retained_bytes));
+/// * `admission/hop_evals_per_submit/<n>` — the median latency-model
+///   evaluations one submit's composition makes for transfer-arc costs
+///   ([`MinCostComposer::hop_evals`]). The engine's composer sits behind
+///   the `Composer` trait, so a replica configured like it composes each
+///   request just before the submit, over the directory's provider lists
+///   (what discovery returns while no node has failed) and the engine's
+///   view snapshot. That snapshot lacks only the submit's own discovery
+///   and statistics-pull messages, so placements may break ties
+///   differently; the count depends on the candidate lists alone unless
+///   a host is pruned or the role-split re-solve runs, and the replica
+///   must admit exactly what the engine admits.
 ///
-/// Both are deterministic: no simulated time passes, and every input is
-/// seeded.
-pub fn serial_work_counts(n: usize) -> [Measurement; 2] {
+/// All three are deterministic: no simulated time passes, and every input
+/// is seeded.
+pub fn serial_work_counts(n: usize) -> [Measurement; 3] {
     let seed = 42;
     let topology = Topology::power_law(n, simnet::kbps(300.0), simnet::kbps(3000.0), seed);
+    let config = EngineConfig::default();
+    let mut replica = MinCostComposer::with_algorithm(config.flow_algorithm)
+        .with_latencies(Arc::new(LatencyMatrix::from_topology(&topology)));
+    let catalog = ServiceCatalog::synthetic(SERVICES, seed);
+    let mut replica_rng = SimRng::new(seed);
     let mut rng = SimRng::new(seed ^ 0x5E41_A105);
     let mut offers = vec![Vec::new(); n];
     for s in 0..SERVICES {
@@ -267,23 +283,39 @@ pub fn serial_work_counts(n: usize) -> [Measurement; 2] {
             offers[h].push(s);
         }
     }
-    let mut engine = Engine::builder(n, ServiceCatalog::synthetic(SERVICES, seed), seed)
+    let mut engine = Engine::builder(n, catalog.clone(), seed)
         .topology(topology)
         .offers(offers)
-        .config(EngineConfig::default())
+        .config(config)
         .build();
     let mut admitted = 0usize;
+    let mut evals = Vec::with_capacity(SERIAL_SUBMITS);
     let mut allocs: Vec<f64> = (0..SERIAL_SUBMITS)
         .map(|i| {
             let chain = [i % SERVICES, (i + 3) % SERVICES, (i + 7) % SERVICES];
             let req = ServiceRequest::chain(&chain, 6.0, (i * 2) % n, (i * 2 + 1) % n);
+            let providers: ProviderMap = chain
+                .iter()
+                .map(|&s| (s, engine.directory().providers(s)))
+                .collect();
+            let mut view = engine.view_snapshot();
+            let before = replica.hop_evals();
+            let mirrored = replica
+                .compose(&req, &catalog, &providers, &mut view, &mut replica_rng)
+                .is_ok();
+            evals.push((replica.hop_evals() - before) as f64);
             let mut ok = false;
             let count = count_allocations(|| ok = engine.submit(req).is_ok());
+            assert_eq!(
+                mirrored, ok,
+                "the replica must admit what the engine admits"
+            );
             admitted += usize::from(ok);
             count as f64
         })
         .collect();
     allocs.sort_by(f64::total_cmp);
+    evals.sort_by(f64::total_cmp);
     let allocs_row = Measurement {
         min: allocs[0],
         max: allocs[SERIAL_SUBMITS - 1],
@@ -299,7 +331,17 @@ pub fn serial_work_counts(n: usize) -> [Measurement; 2] {
         (engine.retained_bytes() / admitted.max(1)) as f64,
         "bytes",
     );
-    [allocs_row, bytes_row]
+    let evals_row = Measurement {
+        min: evals[0],
+        max: evals[SERIAL_SUBMITS - 1],
+        iters: SERIAL_SUBMITS as u64,
+        ..record_value(
+            &format!("admission/hop_evals_per_submit/{n}"),
+            evals[SERIAL_SUBMITS / 2],
+            "evals",
+        )
+    };
+    [allocs_row, bytes_row, evals_row]
 }
 
 /// Sanity probe used by tests and the bench preamble: one batch through
@@ -344,12 +386,16 @@ mod tests {
 
     #[test]
     fn serial_work_counts_name_their_rows_and_retain_state() {
-        let [allocs, bytes] = serial_work_counts(256);
+        let [allocs, bytes, evals] = serial_work_counts(256);
         assert_eq!(allocs.name, "admission/allocs_per_submit/256");
         assert_eq!(allocs.iters, SERIAL_SUBMITS as u64);
         assert_eq!(bytes.name, "adapt/retained_bytes_per_app/256");
         assert!(bytes.value > 0.0, "default engine retains repair state");
-        assert_eq!(bytes.value, serial_work_counts(256)[1].value);
+        assert_eq!(evals.name, "admission/hop_evals_per_submit/256");
+        assert!(evals.value > 0.0, "endpoint arcs are costed every submit");
+        let again = serial_work_counts(256);
+        assert_eq!(bytes.value, again[1].value);
+        assert_eq!(evals.value, again[2].value);
     }
 
     #[test]

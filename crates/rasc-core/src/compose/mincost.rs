@@ -101,7 +101,9 @@ impl LatencyMatrix {
 
     /// One-way latency `u → v` in milliseconds.
     ///
-    /// Called once per arc from the composer's graph build, through two
+    /// The composer calls it for the endpoint arcs of every solve and,
+    /// between layers, only when it (re)builds a transfer-cost memo
+    /// entry (one call per candidate pair, see `HopMemo`), through two
     /// crate boundaries down to the topology's latency model. Whether
     /// thin-LTO inlines that chain under plain `#[inline]` depends on how
     /// unrelated generic code lands in codegen units (measured: +17 % on
@@ -146,11 +148,142 @@ impl CostMemo {
     }
 }
 
+/// Transfer-arc costs between the candidates of two consecutive layers,
+/// built from the candidate lists as they were when the entry was made.
+#[derive(Clone, Debug, Default)]
+struct HopEntry {
+    /// Candidate list of the upstream layer.
+    from: Vec<simnet::NodeId>,
+    /// Candidate list of the downstream layer.
+    to: Vec<simnet::NodeId>,
+    /// `hop_cost(from[i], to[j])` at `i * to.len() + j`.
+    cost: Vec<i32>,
+}
+
+/// Transfer costs memoized per **ordered** service pair `(a, b)`: the
+/// arcs from layer `a`'s hosts to layer `b`'s depend only on the host
+/// pair and the latency matrix, neither of which moves during a run, so
+/// the latency model is evaluated once per candidate pair instead of
+/// once per arc per compose. An entry serves a solve while both current
+/// candidate lists are subsets of the lists it was built from (a merge
+/// walk over the sorted lists; a crash only shrinks a provider list),
+/// and is rebuilt from the current lists otherwise. Correctness rests on
+/// that walk alone: a host it cannot find misses, so an unsorted or
+/// duplicated hand-made list costs a rebuild, never a wrong cost.
+/// Bounded by `S²` entries for an `S`-service catalog.
+#[derive(Clone, Debug, Default)]
+struct HopMemo {
+    /// The matrix every entry was computed from; a different `Arc` (the
+    /// `latencies` field is public) drops them all.
+    matrix: Option<Arc<LatencyMatrix>>,
+    /// Catalog size the flat `a * services + b` layout is built for.
+    services: usize,
+    entries: Vec<HopEntry>,
+}
+
+impl HopMemo {
+    /// Ties the memo to `matrix` and an `services`-service catalog,
+    /// dropping every entry made under another matrix or layout.
+    fn bind(&mut self, matrix: Option<&Arc<LatencyMatrix>>, services: usize) {
+        let same_matrix = match (&self.matrix, matrix) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
+        if !same_matrix || self.services != services {
+            self.matrix = matrix.cloned();
+            self.services = services;
+            self.entries.clear();
+            self.entries
+                .resize_with(services * services, HopEntry::default);
+        }
+    }
+
+    /// The entry for the arcs from `from` (service `a`'s candidate list,
+    /// kept hosts at `from_pos`) to `to` (service `b`'s, kept hosts at
+    /// `to_pos`). On return `rows[k]` / `cols[k]` index the `k`-th kept
+    /// host of each side in the entry's lists; a miss rebuilds the entry
+    /// from `from` × `to`, counting each latency evaluation in `evals`.
+    fn entry(
+        &mut self,
+        (a, b): (usize, usize),
+        (from, from_pos): (&[simnet::NodeId], &[u32]),
+        (to, to_pos): (&[simnet::NodeId], &[u32]),
+        rows: &mut Vec<u32>,
+        cols: &mut Vec<u32>,
+        evals: &mut u64,
+    ) -> &HopEntry {
+        let matrix = self.matrix.as_deref();
+        let e = &mut self.entries[a * self.services + b];
+        if !(locate(&e.from, from, from_pos, rows) && locate(&e.to, to, to_pos, cols)) {
+            e.from.clear();
+            e.from.extend_from_slice(from);
+            e.to.clear();
+            e.to.extend_from_slice(to);
+            e.cost.clear();
+            e.cost.reserve_exact(from.len() * to.len());
+            for &u in from {
+                for &v in to {
+                    let c = hop_cost(matrix, evals, u, v);
+                    e.cost
+                        .push(i32::try_from(c).expect("transfer cost fits in i32"));
+                }
+            }
+            rows.clear();
+            rows.extend_from_slice(from_pos);
+            cols.clear();
+            cols.extend_from_slice(to_pos);
+        }
+        e
+    }
+}
+
+/// Merge walk: writes to `out` the index in `list` of each kept host
+/// `cands[pos[k]]`, or returns `false` as soon as one is missing. Both
+/// lists are sorted and duplicate-free in production, which makes the
+/// walk `O(|list| + |pos|)` and exact; on any other input it can only
+/// fail to find a host, never map it to a different one.
+fn locate(
+    list: &[simnet::NodeId],
+    cands: &[simnet::NodeId],
+    pos: &[u32],
+    out: &mut Vec<u32>,
+) -> bool {
+    out.clear();
+    let mut j = 0;
+    for &p in pos {
+        let host = cands[p as usize];
+        while j < list.len() && list[j] < host {
+            j += 1;
+        }
+        if j == list.len() || list[j] != host {
+            return false;
+        }
+        out.push(j as u32);
+    }
+    true
+}
+
+/// Transfer-arc cost between two hosts: the latency-proportional term of
+/// [`LATENCY_WEIGHT`], or 0 without a matrix. `evals` counts the latency
+/// model evaluations.
+#[inline]
+fn hop_cost(matrix: Option<&LatencyMatrix>, evals: &mut u64, from: usize, to: usize) -> i64 {
+    match matrix {
+        Some(m) => {
+            *evals += 1;
+            (m.get(from, to) * LATENCY_WEIGHT).round() as i64
+        }
+        None => 0,
+    }
+}
+
 /// Retained allocations reused across substream solves: the flow-network
-/// arena, the host-cost memo, and the flow solver itself (scratch
-/// buffers plus warm-start potentials — successive substream graphs are
-/// rebuilt in the same arena with similar shape, so the previous solve's
-/// potential snapshot usually revalidates and skips the seeding pass).
+/// arena, the host-cost and transfer-cost memos, and the flow solver
+/// itself (scratch buffers plus warm-start potentials — successive
+/// substream graphs are rebuilt in the same arena with similar shape, so
+/// the previous solve's potential snapshot usually revalidates and skips
+/// the seeding pass).
 /// Composition is called once per request in the engine's steady state,
 /// so this converts the hot path from allocate-solve-drop to reset-solve.
 #[derive(Clone, Debug, Default)]
@@ -162,8 +295,18 @@ struct Scratch {
     /// internal arcs per layer and the compose-time host costs); `None`
     /// after a conservative re-solve, whose graph repair cannot reuse.
     last_meta: Option<SolveMeta>,
-    /// Capped candidate set of the layer being wired (reused buffer).
-    selected: Vec<simnet::NodeId>,
+    /// Transfer costs per ordered service pair, kept across composes.
+    hops: HopMemo,
+    /// Candidate list (before pruning) of the layer being wired and of
+    /// the layer before it.
+    cands: Vec<simnet::NodeId>,
+    prev_cands: Vec<simnet::NodeId>,
+    /// Index in `cands` / `prev_cands` of each kept host.
+    pos: Vec<u32>,
+    prev_pos: Vec<u32>,
+    /// Each kept host's index in the memo entry being read.
+    rows: Vec<u32>,
+    cols: Vec<u32>,
 }
 
 /// What [`CachedSubstream`] needs beyond the arena itself.
@@ -191,6 +334,8 @@ pub struct MinCostComposer {
     /// (copying the arena's arcs per substream). Batch-worker arenas turn this
     /// off — see [`Composer::set_retention`].
     retain_solves: bool,
+    /// Latency-model evaluations made for transfer-arc costs so far.
+    hop_evals: u64,
     scratch: Scratch,
     /// Retained solves for incremental repair (see `compose::cache`).
     pub(crate) cache: CompositionCache,
@@ -203,6 +348,7 @@ impl Default for MinCostComposer {
             latencies: None,
             candidate_cap: None,
             retain_solves: true,
+            hop_evals: 0,
             scratch: Scratch::default(),
             cache: CompositionCache::default(),
         }
@@ -309,7 +455,7 @@ impl Composer for MinCostComposer {
     fn forget_warm_state(&mut self) {
         // The potential snapshot is the only solver state that can tilt
         // equal-cost tie-breaking between solves; the buffers it leaves
-        // allocated are results-neutral.
+        // allocated, and the transfer-cost memo, are results-neutral.
         self.scratch.solver.forget();
     }
 
@@ -347,6 +493,7 @@ impl MinCostComposer {
     /// Attaches link latencies for latency-aware transfer costs.
     pub fn with_latencies(mut self, latencies: Arc<LatencyMatrix>) -> Self {
         self.latencies = Some(latencies);
+        self.scratch.hops = HopMemo::default();
         self
     }
 
@@ -354,6 +501,12 @@ impl MinCostComposer {
     pub fn with_candidate_cap(mut self, k: usize) -> Self {
         self.candidate_cap = Some(k);
         self
+    }
+
+    /// How many times this composer has evaluated the latency model for
+    /// a transfer-arc cost (an exact work count; 0 without latencies).
+    pub fn hop_evals(&self) -> u64 {
+        self.hop_evals
     }
 
     fn compose_substream(
@@ -413,29 +566,31 @@ impl MinCostComposer {
             return Err(ComposeError::InsufficientCapacity { substream: l });
         }
 
-        // Transfer-edge cost between two hosts, hoisted so the scratch
-        // borrows below don't alias `self`.
-        let latencies = self.latencies.clone();
-        let hop_cost = |from: usize, to: usize| -> i64 {
-            match &latencies {
-                Some(m) => (m.get(from, to) * LATENCY_WEIGHT).round() as i64,
-                None => 0,
-            }
-        };
-
-        // Reuse the retained arena and cost memo (reservations between
-        // substreams change the view, so the memo scope is one solve).
+        // Reuse the retained arena and host-cost memo (reservations
+        // between substreams change the view, so that memo's scope is
+        // one solve; the transfer-cost memo outlives it).
         // The retained solver is rebuilt only if the (public) algorithm
         // selection changed since the last solve.
         if self.scratch.solver.algorithm() != self.algorithm {
             self.scratch.solver = FlowSolver::new(self.algorithm);
         }
+        self.scratch
+            .hops
+            .bind(self.latencies.as_ref(), catalog.len());
+        let latencies = self.latencies.as_deref();
+        let evals = &mut self.hop_evals;
         let Scratch {
             net,
             costs,
             solver,
             last_meta,
-            selected,
+            hops,
+            cands,
+            prev_cands,
+            pos,
+            prev_pos,
+            rows,
+            cols,
         } = &mut self.scratch;
         let candidate_cap = self.candidate_cap;
         let retain_solves = self.retain_solves;
@@ -470,21 +625,24 @@ impl MinCostComposer {
             // function of (view, providers, k) — the view does not move
             // between the plain solve and a conservative re-solve of the
             // same substream, so both see the same candidate set.
-            let hosts: &[simnet::NodeId] = match candidate_cap {
+            match candidate_cap {
                 Some(k) if all_hosts.len() > k => {
                     debug_assert!(
                         is_duplicate_free(all_hosts),
                         "provider lists are duplicate-free (DHT lookups read a set)"
                     );
-                    view.select_top_candidates_linear(all_hosts, k, selected);
-                    selected
+                    view.select_top_candidates_linear(all_hosts, k, cands);
                 }
-                _ => all_hosts,
-            };
-            let mut this_layer = Vec::with_capacity(hosts.len());
-            let mut this_edges = Vec::with_capacity(hosts.len());
+                _ => {
+                    cands.clear();
+                    cands.extend_from_slice(all_hosts);
+                }
+            }
+            pos.clear();
+            let mut this_layer = Vec::with_capacity(cands.len());
+            let mut this_edges = Vec::with_capacity(cands.len());
             let exec_secs = catalog.get(service).exec_time.as_secs_f64();
-            for &host in hosts {
+            for (p, &host) in cands.iter().enumerate() {
                 // Native r_max expressed in source units (divide by gain),
                 // bounded by the host's NICs and (when enabled) its CPU.
                 let native = view.max_rate_with_cpu(host, req.unit_bits, ratio, exec_secs);
@@ -499,27 +657,43 @@ impl MinCostComposer {
                 let e = net.add_edge(v_in, v_out, cap, costs.get(view, host));
                 this_layer.push((v_in, v_out, host));
                 this_edges.push(e);
+                pos.push(p as u32);
             }
             if this_layer.is_empty() {
                 // Every candidate is saturated; no flow can cross this
                 // layer, so the substream is unadmittable as a whole.
                 return Err(ComposeError::InsufficientCapacity { substream: l });
             }
-            // Wire from previous layer (or the source gate).
+            // Wire from previous layer (or the source gate). Transfer
+            // costs between layers come from the memo, keyed by the
+            // candidate lists so pruned hosts never invalidate an entry.
             match layer_nodes.last() {
                 None => {
                     for &(v_in, _, host) in &this_layer {
-                        net.add_edge(src_gate, v_in, INF_CAP, hop_cost(req.source, host));
+                        let c = hop_cost(latencies, evals, req.source, host);
+                        net.add_edge(src_gate, v_in, INF_CAP, c);
                     }
                 }
                 Some(prev) => {
-                    for &(_, p_out, p_host) in prev {
-                        for &(v_in, _, host) in &this_layer {
-                            net.add_edge(p_out, v_in, INF_CAP, hop_cost(p_host, host));
+                    let entry = hops.entry(
+                        (services[i - 1], service),
+                        (prev_cands, prev_pos),
+                        (cands, pos),
+                        rows,
+                        cols,
+                        evals,
+                    );
+                    let width = entry.to.len();
+                    for (&(_, p_out, _), &r) in prev.iter().zip(rows.iter()) {
+                        let row = &entry.cost[r as usize * width..][..width];
+                        for (&(v_in, _, _), &c) in this_layer.iter().zip(cols.iter()) {
+                            net.add_edge(p_out, v_in, INF_CAP, i64::from(row[c as usize]));
                         }
                     }
                 }
             }
+            std::mem::swap(cands, prev_cands);
+            std::mem::swap(pos, prev_pos);
             layer_nodes.push(this_layer);
             internal_edges.push(this_edges);
         }
@@ -527,7 +701,8 @@ impl MinCostComposer {
         // Destination downlink, in source units.
         let dst_gate = net.add_node();
         for &(_, v_out, host) in layer_nodes.last().expect("non-empty substream") {
-            net.add_edge(v_out, dst_gate, INF_CAP, hop_cost(host, req.destination));
+            let c = hop_cost(latencies, evals, host, req.destination);
+            net.add_edge(v_out, dst_gate, INF_CAP, c);
         }
         net.add_edge(
             dst_gate,

@@ -84,6 +84,20 @@ cargo test -q -p overlay --test membership_equivalence
 # eviction can never slip past verification.
 cargo test -q -p monitor --test randomized_windows
 
+# Transfer-cost memo equivalence: the min-cost composer keeps the
+# latency costs of inter-layer arcs across composes, one entry per
+# ordered service pair, valid while the current candidate lists are
+# subsets of the lists it was built from. A long-lived composer must
+# compose bit-identical graphs, with identical retained bytes, to a
+# fresh one on every request: power-law worlds over eight seeds,
+# uncapped and capped, through provider crashes (lists shrink, entries
+# hit), new providers (lists grow, entries rebuild), role-split
+# re-solves, hand-made unsorted and duplicated lists, an asymmetric
+# latency table read in both service orders, and a matrix swapped
+# through the public field. Named so a change to the memo's key, its
+# subset walk or its invalidation can never slip past verification.
+cargo test -q -p rasc-core --test transfer_cost_memo
+
 # CPU admission: with cpu_cores set, composition must respect the CPU
 # dimension (reject, split, release on teardown), and the CPU meter the
 # engine builds only in that case must still hold admission after a
@@ -107,15 +121,16 @@ cargo test -q -p rasc-core --test cpu_constraint
 # differ, so this is a tripwire for accidental regressions, not a gate.
 # Two further WARNINGs keep the exact-count rows honest: a
 # dataplane/units_per_sec, events_per_unit or meter_entries row, an
-# admission/allocs_per_submit or adapt/retained_bytes_per_app row, or
-# an overlay/proximity_evals row, with no committed counterpart (a
-# renamed row would otherwise go unchecked), and an events/unit,
-# meter-entry, allocs-per-submit, retained-bytes or proximity-eval
-# count that differs from the committed one at all (those counts are
-# exact, so any change is a change in event structure, in the
-# monitoring state, in what a serial submit allocates, in what a
-# retained solve keeps, or in how often overlay construction calls the
-# proximity metric).
+# admission/allocs_per_submit or hop_evals_per_submit row, an
+# adapt/retained_bytes_per_app row, or an overlay/proximity_evals row,
+# with no committed counterpart (a renamed row would otherwise go
+# unchecked), and an events/unit, meter-entry, allocs-per-submit,
+# retained-bytes or eval count that differs from the committed one at
+# all (those counts are exact, so any change is a change in event
+# structure, in the monitoring state, in what a serial submit
+# allocates, in what a retained solve keeps, or in how often overlay
+# construction calls the proximity metric or a submit's composition
+# calls the latency model).
 #
 # Parallel-scaling entries are excluded on serial machines: a committed
 # entry annotated "ap1" was itself measured on a 1-core box (pool
@@ -169,7 +184,7 @@ if [ -f BENCH_compose.json ]; then
             $1, $2 / base[$1], base[$1], $2
     }
     ($1 ~ /^dataplane\/(units_per_sec|events_per_unit|meter_entries)\// ||
-     $1 ~ /^(admission\/allocs_per_submit|adapt\/retained_bytes_per_app|overlay\/proximity_evals)\//) && !($1 in base) {
+     $1 ~ /^(admission\/(allocs|hop_evals)_per_submit|adapt\/retained_bytes_per_app|overlay\/proximity_evals)\//) && !($1 in base) {
       printf "verify: WARNING %s has no committed row to compare with\n", $1
     }
     ($3 == "events/unit" || $3 == "entries" || $3 == "allocs" || $3 == "bytes" || $3 == "evals") && ($1 in base) && $2 + 0 != base[$1] {
